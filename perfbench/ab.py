@@ -1,13 +1,13 @@
 """Engine A/B report: paired, alternating scalar/batch suite runs.
 
-    python3 perfbench/ab.py [--pairs 5] [--full-pairs 1] [--seed 1]
+    python3 perfbench/ab.py [--pairs 5] [--seed 1]
 
 Not a workload, and it adds no program flag: it runs the suite-cold
 command (``repro-run all --preset bench --jobs 1``, empty private
 cache) with repro-run's existing ``--engine scalar`` and ``--engine
 batch``, alternating which engine goes first in each pair.  Both
-engines must print the committed reference bytes.  ``--full-pairs``
-adds pairs of ``fig_perf_16`` at the full preset (about 80 s a run),
+engines must print the committed reference bytes.  The same number of
+pairs then runs ``fig_perf_16`` at the full preset (about 80 s a run),
 whose stdout must agree between the engines.
 
 Prints, per case and engine, the run count, median and quartiles of
@@ -87,7 +87,6 @@ def _summary(values: list[float]) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(prog="perfbench-ab")
     parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--full-pairs", type=int, default=0)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     _prepare_process()
@@ -98,9 +97,8 @@ def main() -> int:
     report: dict = {"seed": seed, "cases": {}}
     report["cases"]["suite-cold"] = _pairs(
         "suite-cold", args.pairs, "bench", seed, expect)
-    if args.full_pairs:
-        report["cases"]["fig_perf_16 full"] = _pairs(
-            "fig_perf_16 full", args.full_pairs, "full", seed, None)
+    report["cases"]["fig_perf_16 full"] = _pairs(
+        "fig_perf_16 full", args.pairs, "full", seed, None)
     report["fastpath_frac"] = {
         engine: _fastpath(engine, "bench", seed, expect) for engine in ENGINES
     }

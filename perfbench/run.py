@@ -78,12 +78,19 @@ def run_suite(workload: str, seed: int, seconds: float, trace: bool,
         errors: list[str] = []
         values = dict.fromkeys(m.PER_LAYER, 0.0)
         if out.is_file():
-            values = m.per_layer(json.loads(out.read_text()), {
+            trace_data = json.loads(out.read_text())
+            values = m.per_layer(trace_data, {
                 "harness.import_s": import_seconds(suite.env),
                 "tracing.overhead_s": traced.wall_s - untraced.wall_s,
             })
-            errors += m.check_self_sum(values)
-            errors += _check_counts(values, reference, preset, suite.seed, warm)
+            errors += m.check_sample_coverage(trace_data)
+            if warm:
+                expected = dict.fromkeys(
+                    (*m.SIMULATED_COUNTS, *m.CALL_COUNTS), 0)
+            else:
+                expected = reference["counts"].get(preset, {}).get(str(suite.seed))
+            errors += check_counts(values, expected,
+                                   f"{preset} seed {suite.seed}")
         else:
             errors.append("the traced run exported no trace")
         for error in errors:
@@ -94,19 +101,14 @@ def run_suite(workload: str, seed: int, seconds: float, trace: bool,
         suite.close()
 
 
-def _check_counts(values: dict, reference: dict, preset: str, seed: int,
-                  warm: bool) -> list[str]:
-    """Simulated-work counts must equal the committed ones exactly."""
-    import metrics as m
-
-    if warm:
-        expected = dict.fromkeys(m.SIMULATED_COUNTS, 0)
-    else:
-        expected = reference.get("counts", {}).get(preset, {}).get(str(seed))
-        if expected is None:
-            return []
+def check_counts(values: dict, expected: dict | None, label: str) -> list[str]:
+    """Exact counts (``metrics.EXACT_COUNTS``) must equal the committed
+    ones; ``expected`` None (nothing committed for this size) skips."""
+    if expected is None:
+        log(f"no committed counts for {label}; counts not checked")
+        return []
     return [
-        f"{name} = {values[name]} but the reference says {want}"
+        f"{name} = {values[name]} but the reference for {label} says {want}"
         for name, want in expected.items()
         if values[name] != want
     ]
@@ -115,7 +117,7 @@ def _check_counts(values: dict, reference: dict, preset: str, seed: int,
 def run_service(seed: int, seconds: float, trace: bool) -> dict:
     import metrics as m
     from service_load import ServiceRun
-    from suite import import_seconds
+    from suite import import_seconds, load_reference
 
     run = ServiceRun(seed, seconds)
     try:
@@ -131,12 +133,17 @@ def run_service(seed: int, seconds: float, trace: bool) -> dict:
         errors: list[str] = []
         values = dict.fromkeys(m.PER_LAYER, 0.0)
         if out.is_file():
-            values = m.per_layer(json.loads(out.read_text()), {
+            trace_data = json.loads(out.read_text())
+            values = m.per_layer(trace_data, {
                 **traced.client_metrics(),
                 "harness.import_s": import_seconds(run.env),
                 "tracing.overhead_s": traced.wall_s - untraced.wall_s,
             })
-            errors += m.check_self_sum(values)
+            errors += m.check_sample_coverage(trace_data)
+            errors += check_counts(
+                values, run.reference_counts(load_reference()),
+                f"{run.jobs_per_client} jobs per client, plan {run.plan_seed}",
+            )
         else:
             errors.append("the traced server exported no trace")
         for error in errors:

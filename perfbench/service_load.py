@@ -2,10 +2,10 @@
 
 ``repro-serve`` runs in its own process with 2 workers.  This process is
 the load: ``CLIENTS`` threads, each submitting a job, long-polling it to
-DONE, fetching its result bytes and then submitting the next (a closed
-loop).  Each client's job sequence is drawn up front from the benchmark
-seed, so the work the service executes is the same on every run of a
-seed:
+DONE, fetching its result bytes, thinking for a seeded moment and then
+submitting the next (a closed loop).  Each client's job sequence is
+drawn up front from the plan seed (1 or 2, the benchmark seed's parity),
+so the work the service executes is the same on every run of a plan:
 
 * every block of 20 submissions holds the same kinds (9 analyze,
   2 simulate, 1 compare, 3 trace jobs and 5 repeats) in a seeded order,
@@ -54,6 +54,15 @@ JOBS_PER_CLIENT_SECOND = 25
 
 #: served results recomputed locally and compared byte for byte
 VERIFY_SAMPLE = 12
+
+#: a client thinks for a seeded uniform draw from [0, THINK_MAX_S)
+#: before each submission.  An idle worker re-polls the queue every 50 ms
+#: and a submission does not wake it, so without think time each client
+#: falls into a fixed phase against the workers' polls, and the phase a
+#: run locks into decides its latency (job p50 20-42 ms over five 8 s
+#: runs on 2 cores).  Think times spread the submissions over the poll
+#: period instead (22-25 ms over the same five).
+THINK_MAX_S = 0.05
 
 SYNTHETIC = ("lock-counter", "racy-readers", "migratory-token", "false-sharing")
 CAPTURES = ("capture-histogram", "capture-pipeline", "capture-racy-counter")
@@ -157,6 +166,16 @@ def plan_jobs(seed: int, client: int, count: int, trace_dir: Path) -> list[Plann
     return plan
 
 
+def plan_seed(seed: int) -> int:
+    """The job-plan seed a benchmark seed selects: 1 or 2, by parity.
+
+    Two plans, like the suites' default and held-out seeds: the exact
+    counts of both are committed in ``reference.json``, so every traced
+    run checks its simulated work, and seeds add no spread of their own.
+    """
+    return 1 + seed % 2
+
+
 def _default_sigint() -> None:
     """Let SIGINT stop the server cleanly even when this process was
     started in the background, where SIGINT is inherited as ignored."""
@@ -215,12 +234,21 @@ class Server:
             self._stderr.close()
 
 
-def _client_loop(url: str, plan: list[Planned], log_: ClientLog) -> None:
+def think_times(seed: int, client: int, count: int) -> list[float]:
+    """The client's seeded think times; drawn apart from the plan, so the
+    executed work does not depend on them."""
+    rng = random.Random(f"perfbench-think:{seed}:{client}")
+    return [THINK_MAX_S * rng.random() for _ in range(count)]
+
+
+def _client_loop(url: str, plan: list[Planned], thinks: list[float],
+                 log_: ClientLog) -> None:
     from repro.service import JobState
     from repro.service.client import ServiceClient
 
     client = ServiceClient(url, timeout=120.0)
-    for job in plan:
+    for job, think in zip(plan, thinks):
+        time.sleep(think)
         try:
             spec = job.spec
             if job.trace_file is not None:
@@ -257,11 +285,12 @@ def _trace_spec(template: dict, digest: str):
                    protocols=template["protocols"])
 
 
-def run_load(url: str, plans: list[list[Planned]]) -> tuple[float, list[ClientLog]]:
+def run_load(url: str, plans: list[list[Planned]],
+             thinks: list[list[float]]) -> tuple[float, list[ClientLog]]:
     logs = [ClientLog() for _ in plans]
     threads = [
-        threading.Thread(target=_client_loop, args=(url, plan, log_))
-        for plan, log_ in zip(plans, logs)
+        threading.Thread(target=_client_loop, args=(url, plan, think, log_))
+        for plan, think, log_ in zip(plans, thinks, logs)
     ]
     start = time.perf_counter()
     for thread in threads:
@@ -301,18 +330,27 @@ class ServiceRun:
     """One service-mixed run: inputs, server set-ups, load, checks."""
 
     def __init__(self, seed: int, seconds: float):
-        self.seed = seed
+        self.plan_seed = plan_seed(seed)
         self.tmp = scratch_dir("service-")
         self.env = hermetic_env(self.tmp)
         self.setup_times: list[float] = []
-        count = max(10, round(JOBS_PER_CLIENT_SECOND * seconds))
+        self.jobs_per_client = max(10, round(JOBS_PER_CLIENT_SECOND * seconds))
         trace_dir = self.tmp / "captures"
         trace_dir.mkdir()
         self.plans = [
-            plan_jobs(seed, client, count, trace_dir)
+            plan_jobs(self.plan_seed, client, self.jobs_per_client, trace_dir)
+            for client in range(CLIENTS)
+        ]
+        self.thinks = [
+            think_times(self.plan_seed, client, self.jobs_per_client)
             for client in range(CLIENTS)
         ]
         self._servers = 0
+
+    def reference_counts(self, reference: dict) -> dict | None:
+        """The committed exact counts of this run's plan, if any."""
+        return (reference["counts"].get("service", {})
+                .get(str(self.jobs_per_client), {}).get(str(self.plan_seed)))
 
     def close(self) -> None:
         remove_dir(self.tmp)
@@ -337,7 +375,7 @@ class ServiceRun:
 
     def measure(self, server: Server, *, verify: bool = True) -> "LoadResult":
         try:
-            wall, logs = run_load(server.url, self.plans)
+            wall, logs = run_load(server.url, self.plans, self.thinks)
             hit_frac = cache_hit_frac(server.url)
         finally:
             rss = server.stop()

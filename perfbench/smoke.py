@@ -9,8 +9,8 @@ a few dozen service jobs) and asserts that
 * the traced runs see the work each workload is there to exercise, and
   the simulated-work counts repeat exactly across two traced runs;
 * the correctness checks fire: a corrupted stdout reference fails the
-  run, a corrupted count reference is reported, and a corrupted served
-  result does not verify.
+  run, a corrupted count reference is reported, a starved sampler fails
+  the coverage check, and a corrupted served result does not verify.
 
 Exits 0 when every assertion holds.
 """
@@ -66,7 +66,7 @@ def _declared() -> dict | None:
 
 
 def smoke() -> int:
-    from run import WORKLOADS, _check_counts, run_service, run_suite
+    from run import WORKLOADS, check_counts, run_service, run_suite
     from service_load import verify_samples
 
     s = Smoke()
@@ -96,11 +96,9 @@ def smoke() -> int:
              "an experiment span is missing")
     s.expect(first["protocols.access_calls"] > 0 and first["noc.send_calls"] > 0,
              "per-access call counters read 0")
-    repeated = [n for n in m.PER_LAYER
-                if n in m.SIMULATED_COUNTS or n.endswith("_calls")]
-    s.expect(all(first[n] == second[n] for n in repeated),
+    s.expect(all(first[n] == second[n] for n in m.EXACT_COUNTS),
              "counts differ between two traced runs: "
-             + str([n for n in repeated if first[n] != second[n]]))
+             + str([n for n in m.EXACT_COUNTS if first[n] != second[n]]))
     warm = s.result("suite-warm traced",
                     run_suite("suite-warm", 0, 0, True, preset="quick"),
                     m.PER_LAYER)
@@ -125,11 +123,11 @@ def smoke() -> int:
                     expect_digest="0" * 64)
     s.expect(bad["correct"] is False and bad["failed"] > 0,
              "a corrupted stdout reference did not fail the run")
-    wrong = {name: first[name] + 1 for name in m.SIMULATED_COUNTS}
-    reference = {"counts": {"quick": {"1": wrong}}}
-    s.expect(len(_check_counts(first, reference, "quick", 1, False))
-             == len(m.SIMULATED_COUNTS),
+    wrong = {name: first[name] + 1 for name in m.EXACT_COUNTS}
+    s.expect(len(check_counts(first, wrong, "a corrupted reference"))
+             == len(m.EXACT_COUNTS),
              "a corrupted count reference was not reported")
+    s.expect(_coverage_check_fires(), "a starved sampler passed the check")
     s.expect(_corrupted_result_detected(verify_samples),
              "a corrupted served result verified")
 
@@ -138,6 +136,16 @@ def smoke() -> int:
         return 1
     log("smoke: all checks passed")
     return 0
+
+
+def _coverage_check_fires() -> bool:
+    """One core span of 1 s self time: sampled seconds adding up to it
+    pass, a sampler that saw two fifths of it does not."""
+    trace = {"spans": [[1, 0, "core.run", "core", 1, 0.0, 1.0, 1.0, None]],
+             "sample_interval_s": 0.001, "sampled_s": {"core": 0.7, "mem": 0.3}}
+    starved = {**trace, "sampled_s": {"core": 0.4}}
+    return (m.check_sample_coverage(trace) == []
+            and len(m.check_sample_coverage(starved)) == 1)
 
 
 def _corrupted_result_detected(verify_samples) -> bool:

@@ -19,8 +19,10 @@ Three kinds of record, all kept in memory until exit:
 * **samples** — the per-access calls inside a simulation (protocols →
   mem → noc, millions per suite) are too many to wrap.  While a thread's
   innermost span is a ``core`` span, a sampler thread reads its stack
-  every millisecond and counts the package of the innermost ``repro``
-  frame; the core spans' self time is later split by these counts.
+  about every millisecond and credits the package of the innermost
+  ``repro`` frame with the seconds since its previous tick; the core
+  spans' self time is later split by these sampled seconds, whose sum
+  must come back to that self time.
 * **counts** — exact call counts of ``protocol.access``,
   ``protocol.region_boundary``, ``PrivateHierarchy.lookup`` and
   ``MeshNetwork.send`` (the instances of one simulation are given a
@@ -79,6 +81,7 @@ class Tracer:
         self._stacks: dict[int, list] = {}
         self._lock = threading.Lock()
         self._interval = sample_interval
+        self.sampled_s: Counter = Counter()
         self._stop = threading.Event()
         self._sampler = threading.Thread(
             target=self._sample_loop, name="perfbench-sampler", daemon=True
@@ -153,7 +156,12 @@ class Tracer:
             self._sampler.join(timeout=5.0)
 
     def _sample_loop(self) -> None:
+        # the loop rarely keeps its nominal interval (it needs the GIL), so
+        # each sample is weighted by the seconds since the previous tick
+        last = time.perf_counter()
         while not self._stop.wait(self._interval):
+            now = time.perf_counter()
+            weight, last = now - last, now
             frames = sys._current_frames()
             with self._lock:
                 stacks = list(self._stacks.items())
@@ -172,6 +180,7 @@ class Tracer:
                         break
                     frame = frame.f_back
                 self.samples[layer] += 1
+                self.sampled_s[layer] += weight
 
     # -- export ------------------------------------------------------------
 
@@ -182,6 +191,7 @@ class Tracer:
             "roots_s": sum(self.roots),
             "spans": self.spans,
             "samples": dict(self.samples),
+            "sampled_s": dict(self.sampled_s),
             "counts": dict(self.counts),
             "sim": dict(self.sim),
         }
