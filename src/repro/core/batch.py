@@ -402,6 +402,7 @@ class BatchSimulator(Simulator):
         self._is_ce_family = hasattr(protocol, "meta_table")
         self._is_arc = hasattr(protocol, "owner_table")
         self._line_shift = np.uint64(cfg.line_size.bit_length() - 1)
+        self._line_mask = ~(cfg.line_size - 1)
         self._hit_cost = cfg.nonmem_cycles_per_event + cfg.l1.hit_latency
         self._sanitize_checks: list | None = None
         self.classification = (
@@ -414,6 +415,17 @@ class BatchSimulator(Simulator):
             # override with the scalar bound method removes even the
             # shim's dispatch overhead when the fast path is off
             self._step = Simulator._step.__get__(self)
+
+    def run(self):
+        try:
+            return super().run()
+        finally:
+            # The shed shim (a bound method) and the chunk streams
+            # (generators over self) make this simulator a reference
+            # cycle; drop them so a finished simulation is freed by
+            # reference counting rather than by the cyclic collector.
+            self.__dict__.pop("_step", None)
+            self._chunk_iters = []
 
     # -- window management -------------------------------------------------
 
@@ -501,7 +513,7 @@ class BatchSimulator(Simulator):
 
     def _step(self, core: int, clock: int) -> None:
         if not self._fast:
-            super()._step(core, clock)
+            Simulator._step(self, core, clock)
             return
         idx = self.indices[core]
         if idx >= self._lengths[core]:
@@ -529,11 +541,11 @@ class BatchSimulator(Simulator):
                     # run() resolves self._step per pop, so shadowing
                     # the override drops even the shim dispatch cost
                     self._step = Simulator._step.__get__(self)
-                super()._step(core, clock)
+                Simulator._step(self, core, clock)
                 return
         if idx < self._scalar_until[core]:
             # inside a known-ineligible stretch: pure scalar, no numpy
-            super()._step(core, clock)
+            Simulator._step(self, core, clock)
             return
         self._attempt(core, clock, idx)
         self._adapt_cov[core] += self.indices[core] - idx
@@ -557,16 +569,18 @@ class BatchSimulator(Simulator):
             # the event at r itself is ineligible; delegate its whole
             # contiguous ineligible stretch to the scalar tier
             self._scalar_until[core] = win.start + win.bad_stretch_end[j]
-            super()._step(core, clock)
+            Simulator._step(self, core, clock)
             return
         # cheap pre-check of the head event's line before any run setup:
         # after a miss-heavy stretch this is the common exit, and it
         # costs one dict probe instead of a slice conversion
-        payload = self.protocol.l1[core].l1.get(int(win.lines[r]), touch=False)
+        payload = self.protocol.l1[core].l1.get(
+            self._addrs[core][idx] & self._line_mask, touch=False
+        )
         if payload is None or not self._payload_ok(
             payload, int(win.codes[r]), core
         ):
-            super()._step(core, clock)
+            Simulator._step(self, core, clock)
             return
         stop = bad[j] if j < nbad else win.end - win.start
         n = min(stop - r, _MAX_RUN)
@@ -577,7 +591,7 @@ class BatchSimulator(Simulator):
                 return
             n = 0
         if n <= 0:
-            super()._step(core, clock)
+            Simulator._step(self, core, clock)
             return
         self._apply_run(core, win, r, n, clock)
 
@@ -631,17 +645,21 @@ class BatchSimulator(Simulator):
 
     def _run_small(self, core: int, win: _Window, r: int, n: int, clock: int) -> bool:
         """Single-pass Python path for short-to-medium runs: validation,
-        mask aggregation and LRU ordering fold into one loop over plain
-        Python scalars (NumPy fixed costs dominate at these lengths).
+        mask aggregation and LRU ordering fold into one loop over the
+        engine's plain-list event columns (NumPy fixed costs dominate at
+        these lengths); lines, byte masks and the clock advance are
+        computed the way the window precomputes them.
 
         Aggregates until the first event whose line fails a gate, then
         applies the aggregated prefix.  Returns False (nothing applied,
         caller goes scalar) when the very first event fails.
         """
-        end = r + n
-        lines = win.lines[r:end].tolist()
-        masks = win.masks[r:end].tolist()
-        iswr = win.iswrite[r:end].tolist()
+        start = win.start + r
+        kinds = self._kinds[core]
+        addrs = self._addrs[core]
+        sizes = self._sizes[core]
+        gaps = self._gaps[core]
+        line_mask = self._line_mask
         codes = win.codes
         protocol = self.protocol
         l1 = protocol.l1[core].l1
@@ -651,8 +669,11 @@ class BatchSimulator(Simulator):
         agg: dict = {}
         writes = 0
         consumed = 0
+        gap_cycles = 0
         for i in range(n):
-            line = lines[i]
+            event = start + i
+            addr = addrs[event]
+            line = addr & line_mask
             entry = agg.get(line)
             if entry is None:
                 payload = l1_get(line, touch=False)
@@ -661,13 +682,15 @@ class BatchSimulator(Simulator):
                 ):
                     break
                 entry = agg[line] = [payload, 0, 0, i]
-            if iswr[i]:
-                entry[2] |= masks[i]
+            mask = ((1 << sizes[event]) - 1) << (addr - line)
+            if kinds[event] == WRITE:
+                entry[2] |= mask
                 writes += 1
             else:
-                entry[1] |= masks[i]
+                entry[1] |= mask
             entry[3] = i
             consumed += 1
+            gap_cycles += gaps[event]
         if not consumed:
             return False
 
@@ -714,8 +737,10 @@ class BatchSimulator(Simulator):
         if self.machine.sanitize:
             self._sanitize_lines(agg.keys())
 
-        clock += int(win.cum[r + consumed - 1] - (win.cum[r - 1] if r else 0))
-        self.indices[core] = win.start + r + consumed
+        # the window's prefix-sum cost of these events: gap + non-memory
+        # cycles + the L1 hit latency each
+        clock += gap_cycles + consumed * self._hit_cost
+        self.indices[core] = start + consumed
         self._resume(core, clock)
         return True
 

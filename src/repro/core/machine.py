@@ -44,6 +44,10 @@ class Machine:
         "llc_banks",
         "stats",
         "sanitize",
+        "line_size",
+        "llc_hit_latency",
+        "bank_shift",
+        "bank_mask",
     )
 
     def __init__(self, cfg: SystemConfig, *, sanitize: bool | None = None):
@@ -62,6 +66,12 @@ class Machine:
             SetAssocCache.from_config(cfg.llc_bank) for _ in range(cfg.num_banks)
         ]
         self.stats = Stats()
+        # Plain-attribute copies of per-access constants: home bank =
+        # ``(line >> bank_shift) & bank_mask`` (AddressMap.home_bank).
+        self.line_size = cfg.line_size
+        self.llc_hit_latency = cfg.llc_bank.hit_latency
+        self.bank_shift = cfg.line_size.bit_length() - 1
+        self.bank_mask = cfg.num_banks - 1
 
     # -- LLC data path ----------------------------------------------------------
 
@@ -75,7 +85,7 @@ class Machine:
         hit/miss/eviction counters and off-chip byte accounting.
         """
         cache = self.llc_banks[bank]
-        latency = self.cfg.llc_bank.hit_latency
+        latency = self.llc_hit_latency
         payload = cache.get(line_addr)
         if payload is not None:
             self.stats.llc_hits += 1
@@ -85,7 +95,7 @@ class Machine:
 
         self.stats.llc_misses += 1
         latency += self.dram.access(
-            cycle, self.cfg.line_size, write=False, metadata=False
+            cycle, self.line_size, write=False, metadata=False
         )
         victim = cache.insert(line_addr, LLCLine(dirty=make_dirty))
         if victim is not None:
@@ -93,7 +103,7 @@ class Machine:
             _, victim_line = victim
             if victim_line.dirty:
                 # Victim writeback overlaps the fetch; charge bytes, not time.
-                self.dram.access(cycle, self.cfg.line_size, write=True, metadata=False)
+                self.dram.access(cycle, self.line_size, write=True, metadata=False)
         return latency
 
     def llc_writeback(self, bank: int, line_addr: int, cycle: int) -> int:
@@ -106,20 +116,20 @@ class Machine:
         payload = cache.get(line_addr)
         if payload is not None:
             payload.dirty = True
-            return self.cfg.llc_bank.hit_latency
+            return self.llc_hit_latency
         victim = cache.insert(line_addr, LLCLine(dirty=True))
         if victim is not None:
             self.stats.llc_evictions += 1
             _, victim_line = victim
             if victim_line.dirty:
-                self.dram.access(cycle, self.cfg.line_size, write=True, metadata=False)
-        return self.cfg.llc_bank.hit_latency
+                self.dram.access(cycle, self.line_size, write=True, metadata=False)
+        return self.llc_hit_latency
 
     # -- convenience -------------------------------------------------------------
 
     def home_bank(self, line_addr: int) -> int:
-        return self.amap.home_bank(line_addr)
+        return (line_addr >> self.bank_shift) & self.bank_mask
 
     def send_data(self, src: int, dst: int, cycle: int) -> int:
         """Send one line-sized data message."""
-        return self.net.send(src, dst, self.cfg.line_size, DATA, cycle)
+        return self.net.send(src, dst, self.line_size, DATA, cycle)

@@ -93,6 +93,7 @@ class Simulator:
                 f"has {cfg.num_cores} cores"
             )
         self.cfg = cfg
+        self._nonmem_cycles = cfg.nonmem_cycles_per_event
         self.program = program
         # sanitize=None defers to $REPRO_SANITIZE (the cross-process switch)
         self.machine = Machine(cfg, sanitize=sanitize)
@@ -129,12 +130,15 @@ class Simulator:
     def run(self) -> RunResult:
         """Execute the program to completion and return the results."""
         heap = self._heap
+        finished = self._finished
+        blocked = self._blocked
+        pop = heapq.heappop
         n = self.program.num_threads
         while self._num_finished < n:
             if not heap:
                 self._raise_deadlock()
-            clock, core = heapq.heappop(heap)
-            if self._finished[core] or self._blocked[core]:
+            clock, core = pop(heap)
+            if finished[core] or blocked[core]:
                 continue  # stale heap entry
             self._step(core, clock)
         cycles = max(self.clocks) if self.clocks else 0
@@ -157,7 +161,7 @@ class Simulator:
             return
 
         kind = self._kinds[core][idx]
-        clock += self._gaps[core][idx] + self.cfg.nonmem_cycles_per_event
+        clock += self._gaps[core][idx] + self._nonmem_cycles
 
         if kind <= WRITE:
             addr = self._addrs[core][idx]
@@ -172,10 +176,15 @@ class Simulator:
                     byte_mask(amap.offset(addr), size, self.cfg.line_size),
                     kind == WRITE,
                 )
-            latency = self.protocol.access(core, addr, size, kind == WRITE, clock)
-            clock += latency
-            self.indices[core] = idx + 1
-            self._resume(core, clock)
+            clock += self.protocol.access(core, addr, size, kind == WRITE, clock)
+            # _resume, inlined on the access path
+            idx += 1
+            self.indices[core] = idx
+            self.clocks[core] = clock
+            if idx >= self._lengths[core]:
+                self._finish(core, clock)
+            else:
+                heapq.heappush(self._heap, (clock, core))
         elif kind == ACQUIRE:
             self._acquire(core, clock, self._sync_ids[core][idx])
         elif kind == RELEASE:

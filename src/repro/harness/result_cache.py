@@ -38,7 +38,7 @@ from ..common.config import SystemConfig, config_fingerprint
 from ..core.results import RunResult
 
 #: bump when RunResult/Stats change shape in a way old entries can't satisfy
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 #: version salt folded into every key: a new package or schema version
 #: invalidates the whole cache rather than serving stale results

@@ -38,13 +38,14 @@ class SetAssocCache:
         return cls(cfg.num_sets, cfg.assoc, cfg.line_size)
 
     def _set_for(self, line_addr: int) -> dict[int, Any]:
+        # get/insert/PrivateHierarchy.lookup inline this probe
         return self._sets[(line_addr >> self._line_shift) % self.num_sets]
 
     # -- core operations ---------------------------------------------------
 
     def get(self, line_addr: int, touch: bool = True) -> Any | None:
         """Payload for ``line_addr`` or None; updates LRU unless ``touch=False``."""
-        entries = self._set_for(line_addr)
+        entries = self._sets[(line_addr >> self._line_shift) % self.num_sets]
         payload = entries.get(line_addr)
         if payload is not None and touch:
             del entries[line_addr]
@@ -64,7 +65,7 @@ class SetAssocCache:
         """
         if payload is None:
             raise SimulationError("cache payloads may not be None")
-        entries = self._set_for(line_addr)
+        entries = self._sets[(line_addr >> self._line_shift) % self.num_sets]
         if line_addr in entries:
             del entries[line_addr]
             entries[line_addr] = payload

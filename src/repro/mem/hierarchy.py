@@ -69,8 +69,12 @@ class PrivateHierarchy:
         promotes the line into the L1, demoting the L1 victim into the
         L2 (possibly evicting outward via ``on_evict``).
         """
-        payload = self.l1.get(line)
-        if payload is not None:
+        l1 = self.l1
+        entries = l1._sets[(line >> l1._line_shift) % l1.num_sets]
+        payload = entries.get(line)
+        if payload is not None:  # L1 hit: the SetAssocCache.get LRU touch
+            del entries[line]
+            entries[line] = payload
             return payload, 0, False
         if self.l2 is None:
             return None, 0, False
@@ -94,7 +98,8 @@ class PrivateHierarchy:
 
     def peek(self, line: int) -> Any | None:
         """Find a line in either level without promotion/LRU update."""
-        payload = self.l1.get(line, touch=False)
+        l1 = self.l1
+        payload = l1._sets[(line >> l1._line_shift) % l1.num_sets].get(line)
         if payload is None and self.l2 is not None:
             payload = self.l2.get(line, touch=False)
         return payload

@@ -33,11 +33,12 @@ class MeshTopology:
                     links.append((tile, neighbour))
         self.links: tuple[tuple[int, int], ...] = tuple(links)
 
-        # Precompute XY routes as tuples of link indices.
-        self._routes: list[tuple[int, ...]] = []
+        # Precompute XY routes as tuples of link indices, indexed by
+        # ``src * num_tiles + dst``.
+        self.routes: list[tuple[int, ...]] = []
         for src in range(self.num_tiles):
             for dst in range(self.num_tiles):
-                self._routes.append(self._compute_route(src, dst))
+                self.routes.append(self._compute_route(src, dst))
 
     @property
     def num_links(self) -> int:
@@ -66,8 +67,8 @@ class MeshTopology:
 
     def route(self, src: int, dst: int) -> tuple[int, ...]:
         """Link indices of the XY route from ``src`` to ``dst`` (empty if equal)."""
-        return self._routes[src * self.num_tiles + dst]
+        return self.routes[src * self.num_tiles + dst]
 
     def hops(self, src: int, dst: int) -> int:
         """Manhattan hop count between tiles."""
-        return len(self._routes[src * self.num_tiles + dst])
+        return len(self.routes[src * self.num_tiles + dst])

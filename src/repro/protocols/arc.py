@@ -128,11 +128,7 @@ class ArcProtocol(CoherenceProtocol):
             PrivateHierarchy(
                 self.cfg.l1,
                 self.cfg.l2,
-                on_evict=(
-                    lambda c: lambda line, payload: self._evict(
-                        c, line, payload, self._now
-                    )
-                )(core),
+                on_evict=self._evict_handler(core),
             )
             for core in range(n)
         ]
@@ -160,9 +156,12 @@ class ArcProtocol(CoherenceProtocol):
     # -- the access path --------------------------------------------------------
 
     def access(self, core: int, addr: int, size: int, is_write: bool, cycle: int) -> int:
-        amap = self.machine.amap
-        line = amap.line(addr)
-        mask = byte_mask(amap.offset(addr), size, self.cfg.line_size)
+        line = addr & self.line_mask
+        offset = addr - line
+        if 0 < size and offset + size <= self.line_size:
+            mask = ((1 << size) - 1) << offset
+        else:
+            mask = byte_mask(offset, size, self.line_size)  # raises
         stats = self.stats
         stats.accesses += 1
         if is_write:
@@ -171,7 +170,7 @@ class ArcProtocol(CoherenceProtocol):
         self._now = cycle
         cache = self.l1[core]
         payload, extra, from_l2 = cache.lookup(line)
-        latency = self.cfg.l1.hit_latency + extra
+        latency = self.l1_hit_latency + extra
 
         if payload is not None:
             if from_l2:
@@ -194,7 +193,7 @@ class ArcProtocol(CoherenceProtocol):
         shared, recovery_latency = self._classify(core, line, cycle)
         latency += recovery_latency
 
-        home = self.machine.home_bank(line)
+        home = (line >> self.bank_shift) & self.bank_mask
         net = self.machine.net
         # The miss request piggybacks the access's registration masks.
         latency += net.send(core, home, _REG_PAYLOAD if shared else 0, REQ, cycle)
@@ -206,7 +205,7 @@ class ArcProtocol(CoherenceProtocol):
                 mask if is_write else 0,
                 cycle, "llc-register",
             )
-        latency += self.machine.send_data(home, core, cycle)
+        latency += net.send(home, core, self.line_size, DATA, cycle)
 
         new_payload = ArcLine(shared=shared)
         new_payload.region = self.region[core]
@@ -288,11 +287,11 @@ class ArcProtocol(CoherenceProtocol):
         machine = self.machine
         home = machine.home_bank(line)
         latency = 0
-        prev = self.l1[owner].get(line, touch=False)
+        prev = self.l1[owner].peek(line)
         if prev is not None:
             prev.shared = True
             latency += machine.net.send(home, owner, 0, FWD, cycle)
-            latency += self.cfg.l1.hit_latency
+            latency += self.l1_hit_latency
             if prev.dirty:
                 self.stats.self_downgrades += 1
                 latency += machine.send_data(owner, home, cycle)
@@ -416,7 +415,7 @@ class ArcProtocol(CoherenceProtocol):
     def _evict(self, core: int, line: int, payload: ArcLine, cycle: int) -> None:
         machine = self.machine
         self.stats.l1_evictions += 1
-        home = machine.home_bank(line)
+        home = (line >> self.bank_shift) & self.bank_mask
         if payload.dirty:
             self.stats.l1_writebacks += 1
             machine.send_data(core, home, cycle)
@@ -489,7 +488,7 @@ class ArcProtocol(CoherenceProtocol):
         worst = 0
         count = 0
         for line in sorted(lines):  # deterministic flush order
-            payload = self.l1[core].get(line, touch=False)
+            payload = self.l1[core].peek(line)
             if payload is None or payload.region != self.region[core]:
                 continue
             delta_r, delta_w = payload.unregistered_delta()
@@ -522,7 +521,7 @@ class ArcProtocol(CoherenceProtocol):
         worst = 0
         count = 0
         for line in sorted(lines):  # deterministic writeback order
-            payload = self.l1[core].get(line, touch=False)
+            payload = self.l1[core].peek(line)
             if payload is None or not payload.dirty:
                 continue
             count += 1
@@ -557,7 +556,7 @@ class ArcProtocol(CoherenceProtocol):
         flushed by the boundary's self-downgrade)."""
         dropped = self.l1[core].invalidate_where(lambda _addr, p: p.shared)
         self.stats.self_invalidated_lines += len(dropped)
-        return self.cfg.l1.hit_latency
+        return self.l1_hit_latency
 
     # -- model-checker fingerprint ------------------------------------------------
 

@@ -23,8 +23,9 @@ with epoch tags.
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..common.errors import ConflictRecord, RegionConflictError, SimulationError
 
@@ -80,14 +81,13 @@ class DirEntry:
         self.sharers = 0
 
     def sharer_list(self) -> list[int]:
+        """Sharing cores, ascending (one step per sharer, not per bit)."""
         out = []
         bits = self.sharers
-        core = 0
         while bits:
-            if bits & 1:
-                out.append(core)
-            bits >>= 1
-            core += 1
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
         return out
 
 
@@ -101,6 +101,14 @@ class CoherenceProtocol(ABC):
         self.machine = machine
         self.cfg = machine.cfg
         self.stats = machine.stats
+        # Per-access constants, cached as plain attributes (the config's
+        # line_size is a property and the nested configs cost a lookup).
+        self.line_size = machine.line_size
+        self.line_mask = ~(machine.line_size - 1)
+        self.l1_hit_latency = self.cfg.l1.hit_latency
+        self.llc_hit_latency = machine.llc_hit_latency
+        self.bank_shift = machine.bank_shift
+        self.bank_mask = machine.bank_mask
         n = self.cfg.num_cores
         self.region = [0] * n
         self.region_start = [0] * n
@@ -149,6 +157,19 @@ class CoherenceProtocol(ABC):
 
     def finalize(self, cycle: int) -> None:
         """Called once when the program drains; default does nothing."""
+
+    def _evict_handler(self, core: int) -> Callable[[int, Any], None]:
+        """``on_evict`` callback for ``core``'s private hierarchy.
+
+        Evictions reach ``self._evict(core, line, payload, self._now)``,
+        ``_now`` being the cycle of the access that displaced the line.
+        The callback holds the protocol weakly: a strong reference would
+        make every protocol a reference cycle, so each finished
+        simulation's caches would wait for the cyclic collector instead
+        of being freed when the simulation is dropped.
+        """
+        owner: Any = weakref.proxy(self)  # _evict/_now live on subclasses
+        return lambda line, payload: owner._evict(core, line, payload, owner._now)
 
     # -- model-checker state fingerprint ------------------------------------------
 

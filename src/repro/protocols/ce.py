@@ -100,15 +100,23 @@ class CeProtocol(MesiProtocol):
         docs/MODELCHECK.md).
         """
         entry = self.directory.get(line)
+        spilled = self.meta_table.get_line(line)
+        if spilled is None and (
+            entry is None
+            or (entry.owner in (-1, core) and not (entry.sharers & ~(1 << core)))
+        ):
+            return  # nobody else holds or has spilled the line
         if entry is not None:
             holders = entry.sharer_list()
             if entry.owner != -1:
                 holders.append(entry.owner)
+            region_of = self.region
+            l1 = self.l1
             for other in holders:
                 if other == core:
                     continue
-                remote = self.l1[other].get(line, touch=False)
-                if remote is None or remote.region != self.region[other]:
+                remote = l1[other].peek(line)
+                if remote is None or remote.region != region_of[other]:
                     continue
                 if is_write:
                     overlap = mask & (remote.read_mask | remote.write_mask)
@@ -128,6 +136,8 @@ class CeProtocol(MesiProtocol):
                         second_was_write=is_write,
                         detected_by="remote-bits",
                     )
+        if spilled is None:
+            return
         for other, meta in self.meta_table.live_others(line, core, self.region):
             overlap = meta.conflicts_with(mask, is_write)
             if overlap:
@@ -221,7 +231,7 @@ class CeProtocol(MesiProtocol):
             return
         # Live access bits leave the cache: spill them to metadata storage.
         self.stats.metadata_spills += 1
-        home = self.machine.home_bank(line)
+        home = (line >> self.bank_shift) & self.bank_mask
         self.machine.net.send(core, home, self.cfg.metadata_bytes, META, cycle)
         self._meta_store_write(home, line, cycle)  # off the critical path
         self.meta_table.upsert(

@@ -37,7 +37,7 @@ from __future__ import annotations
 from ..common.bitops import byte_mask
 from ..mem.cache import SetAssocCache
 from ..mem.hierarchy import PrivateHierarchy
-from ..noc.messages import FWD, INV, REQ
+from ..noc.messages import DATA, FWD, INV, REQ
 from .base import DIRTY_STATES, E, M, O, S, CoherenceProtocol, DirEntry, MesiLine
 
 
@@ -58,11 +58,7 @@ class MesiProtocol(CoherenceProtocol):
             PrivateHierarchy(
                 cfg.l1,
                 cfg.l2,
-                on_evict=(
-                    lambda c: lambda line, payload: self._evict(
-                        c, line, payload, self._now
-                    )
-                )(core),
+                on_evict=self._evict_handler(core),
             )
             for core in range(cfg.num_cores)
         ]
@@ -109,7 +105,7 @@ class MesiProtocol(CoherenceProtocol):
         for core in targets:
             self.stats.invalidations_sent += 1
             machine.net.send(home, core, 0, INV, cycle)
-            payload = self.l1[core].get(line, touch=False)
+            payload = self.l1[core].peek(line)
             if payload is not None:
                 if payload.state in DIRTY_STATES:
                     machine.send_data(core, home, cycle)
@@ -159,9 +155,12 @@ class MesiProtocol(CoherenceProtocol):
     # -- the access path ---------------------------------------------------------
 
     def access(self, core: int, addr: int, size: int, is_write: bool, cycle: int) -> int:
-        amap = self.machine.amap
-        line = amap.line(addr)
-        mask = byte_mask(amap.offset(addr), size, self.cfg.line_size)
+        line = addr & self.line_mask
+        offset = addr - line
+        if 0 < size and offset + size <= self.line_size:
+            mask = ((1 << size) - 1) << offset
+        else:
+            mask = byte_mask(offset, size, self.line_size)  # raises
         stats = self.stats
         stats.accesses += 1
         if is_write:
@@ -170,7 +169,7 @@ class MesiProtocol(CoherenceProtocol):
         self._now = cycle
         cache = self.l1[core]
         payload, extra, from_l2 = cache.lookup(line)
-        latency = self.cfg.l1.hit_latency + extra
+        latency = self.l1_hit_latency + extra
 
         if payload is not None:
             if from_l2:
@@ -212,10 +211,10 @@ class MesiProtocol(CoherenceProtocol):
         so the requester already has current data.
         """
         net = self.machine.net
-        home = self.machine.home_bank(line)
+        home = (line >> self.bank_shift) & self.bank_mask
         latency = net.send(core, home, 0, REQ, cycle)
         self.stats.dir_lookups += 1
-        latency += self.cfg.llc_bank.hit_latency
+        latency += self.llc_hit_latency
         extra, _ = self._home_metadata_check(core, line, mask, True, cycle, home)
         latency += extra
         entry = self._dir(line)
@@ -225,7 +224,7 @@ class MesiProtocol(CoherenceProtocol):
             owner = entry.owner
             self.stats.invalidations_sent += 1
             inv_lat = net.send(home, owner, 0, INV, cycle)
-            payload = self.l1[owner].get(line, touch=False)
+            payload = self.l1[owner].peek(line)
             if payload is not None:
                 self._check_remote(
                     owner, payload, line, core, mask, True, cycle, "inv"
@@ -233,7 +232,7 @@ class MesiProtocol(CoherenceProtocol):
                 self.l1[owner].invalidate(line)
                 self._on_line_removed(owner, line, payload, cycle)
             ack_lat = net.send(owner, core, 0, INV, cycle)
-            owner_rt = inv_lat + self.cfg.l1.hit_latency + ack_lat
+            owner_rt = inv_lat + self.l1_hit_latency + ack_lat
         latency += max(sharers_rt, owner_rt)
         entry.owner = core
         entry.sharers = 0
@@ -245,11 +244,11 @@ class MesiProtocol(CoherenceProtocol):
         """Service an L1 miss; returns (latency, new state, metadata fill)."""
         machine = self.machine
         net = machine.net
-        home = machine.home_bank(line)
+        home = (line >> self.bank_shift) & self.bank_mask
 
         latency = net.send(core, home, 0, REQ, cycle)
         self.stats.dir_lookups += 1
-        latency += self.cfg.llc_bank.hit_latency
+        latency += self.llc_hit_latency
         extra, fill = self._home_metadata_check(core, line, mask, is_write, cycle, home)
         latency += extra
 
@@ -262,7 +261,7 @@ class MesiProtocol(CoherenceProtocol):
                 )
             else:
                 latency += machine.llc_data_access(home, line, cycle, make_dirty=False)
-                latency += machine.send_data(home, core, cycle)
+                latency += net.send(home, core, self.line_size, DATA, cycle)
             entry.owner = core
             entry.sharers = 0
             return latency, M, fill
@@ -275,7 +274,7 @@ class MesiProtocol(CoherenceProtocol):
             return latency, S, fill
 
         latency += machine.llc_data_access(home, line, cycle, make_dirty=False)
-        latency += machine.send_data(home, core, cycle)
+        latency += net.send(home, core, self.line_size, DATA, cycle)
         if entry.sharers == 0:
             entry.owner = core
             return latency, E, fill
@@ -304,7 +303,7 @@ class MesiProtocol(CoherenceProtocol):
                 continue
             self.stats.invalidations_sent += 1
             inv_lat = net.send(home, sharer, 0, INV, cycle)
-            payload = self.l1[sharer].get(line, touch=False)
+            payload = self.l1[sharer].peek(line)
             if payload is not None:
                 self._check_remote(
                     sharer, payload, line, req_core, mask, req_is_write, cycle, "inv"
@@ -312,7 +311,7 @@ class MesiProtocol(CoherenceProtocol):
                 self.l1[sharer].invalidate(line)
                 self._on_line_removed(sharer, line, payload, cycle)
             ack_lat = net.send(sharer, req_core, 0, INV, cycle)
-            worst = max(worst, inv_lat + self.cfg.l1.hit_latency + ack_lat)
+            worst = max(worst, inv_lat + self.l1_hit_latency + ack_lat)
         entry.sharers = 1 << req_core if (entry.sharers >> req_core) & 1 else 0
         return worst
 
@@ -340,8 +339,8 @@ class MesiProtocol(CoherenceProtocol):
         self.stats.forwards += 1
 
         latency = net.send(home, owner, 0, FWD, cycle)
-        latency += self.cfg.l1.hit_latency
-        payload = self.l1[owner].get(line, touch=False)
+        latency += self.l1_hit_latency
+        payload = self.l1[owner].peek(line)
         if payload is not None:
             self._check_remote(
                 owner, payload, line, req_core, mask, req_is_write, cycle, "fwd"
@@ -367,7 +366,7 @@ class MesiProtocol(CoherenceProtocol):
                 self._on_line_removed(owner, line, payload, cycle)
         else:  # pragma: no cover - directory is precise, so this is a bug
             raise AssertionError("directory pointed at an owner without the line")
-        latency += machine.send_data(owner, req_core, cycle)
+        latency += net.send(owner, req_core, self.line_size, DATA, cycle)
 
         if downgrade_to_s:
             if self.cfg.use_owned_state and payload.state == O:
@@ -387,7 +386,7 @@ class MesiProtocol(CoherenceProtocol):
         entry = self._dir(line)
         if payload.state in DIRTY_STATES:
             self.stats.l1_writebacks += 1
-            home = machine.home_bank(line)
+            home = (line >> self.bank_shift) & self.bank_mask
             machine.send_data(core, home, cycle)
             machine.llc_writeback(home, line, cycle)
         # Directory updated directly (see module docstring).

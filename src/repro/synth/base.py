@@ -10,7 +10,8 @@ harness are built on this registry.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+import threading
+from typing import Any, Callable, Protocol
 
 from ..common.errors import ConfigError
 from ..trace.program import Program
@@ -42,10 +43,23 @@ def registered_workloads() -> list[str]:
     return sorted(_REGISTRY)
 
 
+#: the last program built and its arguments: the protocol points of one
+#: experiment ask for the same workload back to back, so one entry
+#: serves them all without holding a second program alive
+_last_built: tuple[tuple[Any, ...], Program] | None = None
+_last_built_lock = threading.Lock()
+
+
 def generate(
     name: str, num_threads: int = 16, seed: int = 1, scale: float = 1.0, **params
 ) -> Program:
-    """Build the named workload."""
+    """Build the named workload.
+
+    Generators are deterministic in their arguments and programs are
+    immutable, so a call repeating the previous call's arguments returns
+    the program that call built.
+    """
+    global _last_built
     fn = _REGISTRY.get(name)
     if fn is None:
         raise ConfigError(
@@ -55,8 +69,15 @@ def generate(
         raise ConfigError("num_threads must be positive")
     if scale <= 0:
         raise ConfigError("scale must be positive")
+    key = (name, num_threads, seed, scale, sorted(params.items()))
+    with _last_built_lock:
+        if _last_built is not None and _last_built[0] == key:
+            return _last_built[1]
+        _last_built = None  # let the old program go before building
     program = fn(num_threads, seed, scale, **params)
     program.name = name
+    with _last_built_lock:
+        _last_built = (key, program)
     return program
 
 

@@ -143,7 +143,8 @@ class TraceAssembler:
             raise TraceError(f"trace ends holding locks {self._held}")
         if not self._blocks:
             return ThreadTrace(np.empty(0, dtype=EVENT_DTYPE))
-        return ThreadTrace(np.concatenate(self._blocks))
+        # the explicit dtype skips NumPy's per-block structured-field promotion
+        return ThreadTrace(np.concatenate(self._blocks, dtype=EVENT_DTYPE))
 
 
 def strided_span(base: int, count: int, stride: int = 8) -> np.ndarray:

@@ -122,7 +122,7 @@ class TestByteIdenticalWithRetries:
         pts = make_points(6)
         with Executor(jobs=2) as clean:
             baseline = clean.run_points(pts)
-        plan = FaultPlan(seed=11, crash_rate=0.15, pickle_rate=0.1)
+        plan = FaultPlan(seed=11, crash_rate=0.2, pickle_rate=0.2)
         with Executor(jobs=2, retries=10, fault_plan=plan, backoff=0.01) as ex:
             chaotic = ex.run_points(pts)
         assert digest(chaotic) == digest(baseline)

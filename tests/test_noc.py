@@ -1,12 +1,20 @@
 """Unit and property tests for the mesh topology and network model."""
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import NocConfig
 from repro.common.errors import ConfigError
-from repro.noc import DATA, REQ, MeshNetwork, MeshTopology, flits_for_payload
+from repro.noc import (
+    DATA,
+    NUM_CATEGORIES,
+    REQ,
+    MeshNetwork,
+    MeshTopology,
+    flits_for_payload,
+)
 
 
 class TestFlits:
@@ -134,3 +142,164 @@ class TestNetwork:
         assert latency >= 0
         if src != dst:
             assert latency > 0
+
+
+class _FloatArrayNetwork:
+    """The float-array contention model ``MeshNetwork`` replaced, kept
+    verbatim as the reference the integer-count send path must match:
+    per-window NumPy float link loads, utilization divided out on every
+    link, the peak tracked as a float."""
+
+    _RAMP_END = 1.5
+
+    def __init__(self, topology, cfg):
+        self.cfg = cfg
+        self.topology = topology
+        self.flit_hops_by_category = [0] * NUM_CATEGORIES
+        self.messages_by_category = [0] * NUM_CATEGORIES
+        self.queue_delay_cycles = 0
+        self.peak_link_utilization = 0.0
+        self.saturated_link_windows = 0
+        self._window_links = {}
+        self._window_cap = float(cfg.window_cycles)
+
+    def link_utilization(self, cycle):
+        window = cycle // self.cfg.window_cycles
+        counts = self._window_links.get(window)
+        if counts is None:
+            return np.zeros(self.topology.num_links)
+        return counts / self._window_cap
+
+    def send(self, src, dst, payload_bytes, category, cycle):
+        flits = flits_for_payload(payload_bytes, self.cfg.flit_bytes)
+        self.messages_by_category[category] += 1
+        if src == dst:
+            return 0
+
+        route = self.topology.route(src, dst)
+        hops = len(route)
+        self.flit_hops_by_category[category] += flits * hops
+
+        window = cycle // self.cfg.window_cycles
+        counts = self._window_links.get(window)
+        if counts is None:
+            counts = np.zeros(self.topology.num_links)
+            self._window_links[window] = counts
+            if len(self._window_links) > 8:
+                self._prune(window)
+
+        delay = 0
+        sat_threshold = self.cfg.saturation_fraction
+        for link in route:
+            utilization = counts[link] / self._window_cap
+            if utilization > self.peak_link_utilization:
+                self.peak_link_utilization = utilization
+            if utilization > sat_threshold:
+                frac = min(
+                    (utilization - sat_threshold)
+                    / (self._RAMP_END - sat_threshold),
+                    1.0,
+                )
+                delay += int(frac * self.cfg.max_queue_penalty)
+                if utilization >= 1.0:
+                    self.saturated_link_windows += 1
+            counts[link] += flits
+
+        if delay:
+            self.queue_delay_cycles += delay
+        base = hops * (self.cfg.router_latency + self.cfg.link_latency) + (flits - 1)
+        return base + delay
+
+    def _prune(self, current_window):
+        for key in [w for w in self._window_links if w < current_window - 4]:
+            del self._window_links[key]
+
+
+_NOC_CONFIGS = st.builds(
+    NocConfig,
+    flit_bytes=st.sampled_from([8, 16, 32]),
+    window_cycles=st.sampled_from([3, 7, 16, 64, 100, 2048]),
+    saturation_fraction=st.one_of(
+        st.sampled_from([0.1, 0.2, 0.3, 0.55, 0.7, 1.0]),
+        st.floats(0.01, 1.0),
+    ),
+    max_queue_penalty=st.integers(0, 100),
+)
+
+_SENDS = st.lists(
+    st.tuples(
+        st.integers(0, 15),                       # src
+        st.integers(0, 15),                       # dst
+        st.sampled_from([0, 1, 8, 16, 32, 64]),   # payload bytes
+        st.integers(0, NUM_CATEGORIES - 1),       # category
+        st.integers(0, 40),                       # window of the cycle
+        st.integers(0, 2047),                     # cycle within it
+    ),
+    max_size=300,
+)
+
+
+class TestNetworkMatchesFloatModel:
+    """The integer-count send path against the float-array reference.
+
+    The bench suite never saturates a link (its saturation figure reads
+    0 saturated link-windows and 0 queue cycles), so output digests
+    cannot police the penalty branch; this differential test does, with
+    saturating configs, out-of-order cycles and window pruning.
+    """
+
+    @staticmethod
+    def _assert_same(net, ref, cycles):
+        assert net.queue_delay_cycles == ref.queue_delay_cycles
+        assert net.saturated_link_windows == ref.saturated_link_windows
+        assert net.peak_link_utilization == ref.peak_link_utilization
+        assert net.flit_hops_by_category == ref.flit_hops_by_category
+        assert net.messages_by_category == ref.messages_by_category
+        for cycle in cycles:
+            np.testing.assert_array_equal(
+                net.link_utilization(cycle), ref.link_utilization(cycle)
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_NOC_CONFIGS, _SENDS)
+    def test_random_sends(self, cfg, sends):
+        topo = MeshTopology(4, 4)
+        net, ref = MeshNetwork(topo, cfg), _FloatArrayNetwork(topo, cfg)
+        cycles = []
+        for src, dst, payload, category, window, offset in sends:
+            cycle = window * cfg.window_cycles + offset % cfg.window_cycles
+            cycles.append(cycle)
+            assert net.send(src, dst, payload, category, cycle) == ref.send(
+                src, dst, payload, category, cycle
+            )
+        self._assert_same(net, ref, cycles)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        _NOC_CONFIGS,
+        st.lists(st.integers(0, 3), min_size=1, max_size=400),
+    )
+    def test_hot_link_saturates_identically(self, cfg, windows):
+        # every message shares link 0 -> 1, so counts climb past the
+        # saturation and full-utilization thresholds within a window
+        topo = MeshTopology(4, 4)
+        net, ref = MeshNetwork(topo, cfg), _FloatArrayNetwork(topo, cfg)
+        for window in windows:
+            cycle = window * cfg.window_cycles
+            assert net.send(0, 3, 64, DATA, cycle) == ref.send(
+                0, 3, 64, DATA, cycle
+            )
+        self._assert_same(net, ref, [w * cfg.window_cycles for w in range(4)])
+
+    def test_pruned_window_restarts_empty(self):
+        cfg = NocConfig(window_cycles=16, saturation_fraction=0.2)
+        topo = MeshTopology(4, 4)
+        net, ref = MeshNetwork(topo, cfg), _FloatArrayNetwork(topo, cfg)
+        for cycle in [0] * 20 + [16 * w for w in range(1, 12)] + [0] * 20:
+            assert net.send(0, 3, 64, DATA, cycle) == ref.send(
+                0, 3, 64, DATA, cycle
+            )
+        # window 0 was pruned while later windows filled, so the late
+        # sends at cycle 0 start it over from empty on both models
+        self._assert_same(net, ref, [0, 16, 160])
+        assert net.saturated_link_windows > 0

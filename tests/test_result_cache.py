@@ -7,16 +7,19 @@ discarded and recomputed — never trusted.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.common.config import AimConfig, ProtocolKind, SystemConfig
 from repro.common.config import config_fingerprint
 from repro.harness import Executor, ResultCache, SimPoint, WorkloadSpec
-from repro.harness.result_cache import CACHE_SALT, point_key
+from repro.harness.result_cache import CACHE_SALT, CACHE_SCHEMA, point_key
+from repro.noc.network import MeshNetwork
 
 
 def spec(seed=1, scale=0.05, name="lock-counter", threads=2, **params):
@@ -157,8 +160,6 @@ class TestCorruption:
 
     def test_wrong_payload_type_recomputed(self, tmp_path):
         def swap(p):
-            import hashlib
-
             payload = pickle.dumps(
                 {"key": p.parent.name + p.stem, "salt": CACHE_SALT,
                  "result": "not a RunResult"}
@@ -168,6 +169,58 @@ class TestCorruption:
             )
 
         self._assert_recomputed(tmp_path, swap)
+
+    @staticmethod
+    def _rewrite(path, salt, result_of):
+        """Replace the entry at ``path`` with a checksummed payload."""
+        entry = pickle.loads(path.read_bytes().split(b"\n", 1)[1])
+        payload = pickle.dumps(
+            {"key": entry["key"], "salt": salt, "result": result_of(entry["result"])}
+        )
+        path.write_bytes(hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload)
+
+    def test_previous_schema_entry_recomputed(self, tmp_path):
+        old_salt = CACHE_SALT.replace(
+            f"schema{CACHE_SCHEMA}", f"schema{CACHE_SCHEMA - 1}"
+        )
+        assert old_salt != CACHE_SALT
+        self._assert_recomputed(
+            tmp_path, lambda p: self._rewrite(p, old_salt, lambda r: r)
+        )
+
+    def test_float_array_network_layout_recomputed(self, tmp_path):
+        """A result whose network carries the replaced layout (a float
+        peak slot, NumPy per-window link loads) must not load, even
+        under the current salt."""
+
+        class OldLayoutNetwork:
+            def __init__(self, net):
+                self.net = net
+
+            def __reduce__(self):
+                net = self.net
+                state = {
+                    "cfg": net.cfg,
+                    "topology": net.topology,
+                    "flit_hops_by_category": net.flit_hops_by_category,
+                    "messages_by_category": net.messages_by_category,
+                    "queue_delay_cycles": net.queue_delay_cycles,
+                    "peak_link_utilization": net.peak_link_utilization,
+                    "saturated_link_windows": net.saturated_link_windows,
+                    "_window_links": {
+                        w: np.array(c, dtype=np.float64)
+                        for w, c in net._window_links.items()
+                    },
+                    "_window_cap": net._window_cap,
+                }
+                return object.__new__, (MeshNetwork,), (None, state)
+
+        self._assert_recomputed(
+            tmp_path,
+            lambda p: self._rewrite(
+                p, CACHE_SALT, lambda r: replace(r, net=OldLayoutNetwork(r.net))
+            ),
+        )
 
     def test_corrupt_entry_removed_from_disk(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -1,9 +1,16 @@
 """Tests for the synthetic workload generators."""
 
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
+import repro.synth.base as synth_base
 from repro.common.errors import ConfigError, TraceError
+from repro.harness.executor import program_digest
 from repro.synth import (
     AddressSpace,
     EXTRA_WORKLOADS,
@@ -129,7 +136,9 @@ class TestEveryGenerator:
         assert a.name == name
         assert a.num_threads == 4
         assert a.num_events() > 0
+        synth_base._last_built = None  # rebuild rather than reuse ``a``
         b = build_workload(name, num_threads=4, seed=5, scale=0.05)
+        assert b is not a
         assert all(x == y for x, y in zip(a.traces, b.traces))
 
     def test_seed_changes_trace(self, name):
@@ -173,3 +182,86 @@ class TestWorkloadShapes:
     def test_migratory_has_long_regions(self):
         stats = build_workload("migratory-token", num_threads=4, seed=1, scale=0.2).stats()
         assert stats.mean_region_length > 50
+
+
+def _fresh(name, **kwargs):
+    """Build bypassing the last-build memo."""
+    synth_base._last_built = None
+    return generate(name, **kwargs)
+
+
+_SPEC = dict(num_threads=4, seed=3, scale=0.5, iterations=40)
+
+
+class TestGenerateMemo:
+    def test_repeat_returns_an_identical_program(self):
+        first = generate("lock-counter", **_SPEC)
+        again = generate("lock-counter", **_SPEC)
+        assert again is first
+        assert program_digest(again) == program_digest(_fresh("lock-counter", **_SPEC))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"name": "migratory-token"},
+            {"num_threads": 2},
+            {"seed": 4},
+            {"scale": 0.75},
+            {"iterations": 60},
+            {"private_ops": 8},
+        ],
+    )
+    def test_any_changed_argument_rebuilds(self, change):
+        spec = dict(_SPEC, name="lock-counter")
+        first = generate(**spec)
+        changed = dict(spec, **change)
+        if changed["name"] != "lock-counter":
+            del changed["iterations"]
+        rebuilt = generate(**changed)
+        assert rebuilt is not first
+        assert program_digest(rebuilt) == program_digest(_fresh(**changed))
+        assert program_digest(rebuilt) != program_digest(first)
+
+    def test_holds_at_most_one_program(self):
+        first = generate("lock-counter", **_SPEC)
+        first_ref = weakref.ref(first)
+        del first
+        second = generate("lock-counter", **dict(_SPEC, seed=9))
+        gc.collect()
+        assert first_ref() is None
+        assert synth_base._last_built[1] is second
+
+    def test_threads_building_different_specs_get_their_own(self):
+        # more threads than cores, switching often, each alternating
+        # between its own spec and a shared one so the memo churns
+        specs = [dict(_SPEC, seed=seed) for seed in (11, 12, 13, 14)]
+        shared = dict(_SPEC, seed=15)
+        expected = {
+            spec["seed"]: program_digest(_fresh("lock-counter", **spec))
+            for spec in specs + [shared]
+        }
+        start = threading.Barrier(len(specs))
+        mismatches: list[tuple[int, int]] = []
+
+        def build(spec):
+            start.wait(timeout=60)
+            for round_ in range(12):
+                want = spec if round_ % 2 else shared
+                program = generate("lock-counter", **want)
+                if program_digest(program) != expected[want["seed"]]:
+                    mismatches.append((spec["seed"], want["seed"]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(spec,)) for spec in specs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        key, program = synth_base._last_built
+        assert program_digest(program) == expected[key[2]]
