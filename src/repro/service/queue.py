@@ -138,6 +138,11 @@ class JobQueue:
         self.clock = clock
         self._lock = threading.RLock()
         self._terminal = threading.Condition(self._lock)
+        #: notified once per job that a committed transition makes
+        #: runnable (new or revived submit, transient-failure requeue,
+        #: lapsed-lease requeue); an idle claimer claims and waits on it
+        #: under one hold of the queue lock, so no wakeup falls between
+        self.runnable = threading.Condition(self._lock)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(
             str(self.path), check_same_thread=False, isolation_level=None
@@ -187,6 +192,14 @@ class JobQueue:
         self._conn.execute("COMMIT")
         durable.kill_point(f"queue:{op}:post-commit")
 
+    def _notify(self, transitions: list[tuple[str, JobState]]) -> None:
+        """Wake waiters for committed ``(job id, new state)`` transitions."""
+        requeued = sum(state is JobState.PENDING for _, state in transitions)
+        if requeued:
+            self.runnable.notify(requeued)
+        if any(state.terminal for _, state in transitions):
+            self._terminal.notify_all()
+
     def close(self) -> None:
         with self._lock:
             self._conn.close()
@@ -225,6 +238,7 @@ class JobQueue:
                             (JobState.PENDING.value, now, job_id),
                         )
                         self._commit("submit")
+                        self.runnable.notify()
                         return self._get_locked(job_id), True
                     self._commit("submit")
                     return record, True
@@ -248,6 +262,7 @@ class JobQueue:
                     ),
                 )
                 self._commit("submit")
+                self.runnable.notify()
                 return self._get_locked(job_id), False
             except BaseException:
                 self._conn.execute("ROLLBACK")
@@ -290,8 +305,7 @@ class JobQueue:
                     transitions.append((job_id, new_state))
                 if not _in_txn:
                     self._commit("expire")
-                    if any(s.terminal for _, s in transitions):
-                        self._terminal.notify_all()
+                    self._notify(transitions)
                 return transitions
             except BaseException:
                 if not _in_txn:
@@ -318,8 +332,7 @@ class JobQueue:
                 ).fetchone()
                 if row is None:
                     self._commit("claim")
-                    if any(s.terminal for _, s in expired):
-                        self._terminal.notify_all()
+                    self._notify(expired)
                     return None
                 job_id = row[0]
                 self._conn.execute(
@@ -331,8 +344,7 @@ class JobQueue:
                     ),
                 )
                 self._commit("claim")
-                if any(s.terminal for _, s in expired):
-                    self._terminal.notify_all()
+                self._notify(expired)
                 return self._get_locked(job_id)
             except BaseException:
                 self._conn.execute("ROLLBACK")
@@ -429,8 +441,7 @@ class JobQueue:
                     (new_state.value, error, now, job_id),
                 )
                 self._commit("fail")
-                if new_state.terminal:
-                    self._terminal.notify_all()
+                self._notify([(job_id, new_state)])
                 return new_state
             except BaseException:
                 self._conn.execute("ROLLBACK")

@@ -5,7 +5,11 @@ Each worker thread loops ``claim → execute → journal → complete``:
 * **claim** takes a lease (:meth:`~repro.service.queue.JobQueue.claim`);
   a pool-level heartbeat thread extends every live worker's lease at a
   third of the lease interval, so only a genuinely dead or wedged
-  worker loses one.
+  worker loses one.  A worker that finds nothing runnable waits on the
+  queue's ``runnable`` condition, which every transition that makes a
+  job runnable notifies, so dispatch is event-driven; the claim and the
+  wait share one hold of the queue lock, so a submit cannot slip in
+  between and go unnoticed.
 * **execute** goes through :func:`repro.service.jobs.execute_job` with
   an :class:`~repro.harness.executor.Executor` built from the job's own
   resilience knobs — per-job wall-clock timeout (process-pool enforced),
@@ -46,7 +50,10 @@ from .models import JobRecord
 from .queue import JobQueue
 from .tracestore import TraceStore
 
-#: how often an idle worker re-polls the queue for new work
+#: upper bound on an idle worker's wait for a wakeup.  In-process
+#: submits and requeues wake it at once; this re-poll only catches work
+#: that arrives without a notification: jobs another process writes
+#: into the shared DB, and leases that lapse (reclaimed by the claim)
 IDLE_POLL_SECONDS = 0.05
 
 
@@ -92,14 +99,20 @@ class Worker:
             print(f"[{self.worker_id}: {message}]", file=sys.stderr)
 
     def _loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                record = self.queue.claim(self.worker_id)
-            except ServiceError:
-                break  # queue closed under us during shutdown
-            if record is None:
-                self._stop.wait(IDLE_POLL_SECONDS)
-                continue
+        runnable = self.queue.runnable
+        while True:
+            with runnable:
+                # stop is set under this lock too, so a stop that lands
+                # between the check and the wait still wakes us
+                if self._stop.is_set():
+                    return
+                try:
+                    record = self.queue.claim(self.worker_id)
+                except ServiceError:
+                    return  # queue closed under us during shutdown
+                if record is None:
+                    runnable.wait(IDLE_POLL_SECONDS)
+                    continue
             self._set_current(record.id)
             try:
                 self.run_one(record)
@@ -184,7 +197,9 @@ class WorkerPool:
         return self
 
     def stop(self, timeout: float = 10.0) -> None:
-        self._stop.set()
+        with self.queue.runnable:
+            self._stop.set()
+            self.queue.runnable.notify_all()
         if not self._started:
             return
         deadline = time.monotonic() + timeout
