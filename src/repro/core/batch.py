@@ -124,7 +124,6 @@ def make_simulator(
     *,
     sanitize: bool | None = None,
     engine: str | None = None,
-    static_hint=None,
 ):
     """Build the selected engine's simulator for ``program`` on ``cfg``.
 
@@ -133,9 +132,7 @@ def make_simulator(
     golden outputs are engine-independent.
     """
     if resolve_engine(engine) == "batch":
-        return BatchSimulator(
-            cfg, program, recorder, sanitize=sanitize, static_hint=static_hint
-        )
+        return BatchSimulator(cfg, program, recorder, sanitize=sanitize)
     return Simulator(cfg, program, recorder, sanitize=sanitize)
 
 
@@ -183,56 +180,34 @@ class LineClassification:
         }
 
 
-def classify_program(
-    program,
-    line_size: int,
-    *,
-    static_hint: LineClassification | None = None,
-    validate_hint: bool = True,
-) -> LineClassification:
+def classify_program(program, line_size: int) -> LineClassification:
     """Classify every line ``program`` touches by its sharing pattern.
 
     Streams each trace chunk-by-chunk (``ThreadTrace.iter_chunks`` is a
     single chunk for materialized traces, the decoded ``.rtb`` chunks
     for streamed ones), keeping only per-thread *unique line* sets in
     memory — O(working set), never O(events).
-
-    ``static_hint`` substitutes a precomputed classification from the
-    static analyzer (:meth:`repro.statics.StaticReport.line_hint`).
-    Because static classes over-approximate — a statically PRIVATE line
-    is dynamically private-or-untouched, never shared — the hint is safe
-    to drive the fast path, merely pessimistic.  With ``validate_hint``
-    (the default) the exact classification is still computed and the
-    hint checked against the engine-safety contract, raising
-    :class:`~repro.common.errors.StaticSoundnessError` on any line the
-    hint places *below* the exact class; ``validate_hint=False`` skips
-    the streaming pass entirely and trusts the hint.
     """
-    if static_hint is not None and not validate_hint:
-        return static_hint
-    exact, written = _classify_exact(program, line_size)
-    if static_hint is not None:
-        validate_static_hint(exact, written, static_hint)
-        return static_hint
-    return exact
+    return _classify_exact(program, line_size)[0]
 
 
-def validate_static_hint(
-    exact: LineClassification,
-    written: np.ndarray,
-    hint: LineClassification,
+def check_static_hint(
+    program, line_size: int, hint: LineClassification
 ) -> None:
-    """Enforce the hint's conservative-superset contract per exact line.
+    """Check that a static classification over-approximates the exact one.
 
-    Safe substitutions (hint may move classes *up* the sharing lattice):
-    exact CONTENDED requires hint CONTENDED; exact RO_SHARED allows
-    RO_SHARED or CONTENDED; exact PRIVATE(t) allows PRIVATE(t),
-    CONTENDED, or — only for lines the program never writes —
-    RO_SHARED.  Anything else would let the fast path treat a line more
-    optimistically than the trace warrants, so it raises.
+    ``hint`` comes from the static analyzer
+    (:meth:`repro.statics.StaticReport.line_hint`).  It may move a line
+    *up* the sharing lattice, never down: exact CONTENDED requires hint
+    CONTENDED; exact RO_SHARED allows RO_SHARED or CONTENDED; exact
+    PRIVATE(t) allows PRIVATE(t), CONTENDED, or — only for lines the
+    program never writes — RO_SHARED.  Anything else would treat a line
+    more optimistically than the trace warrants, and raises
+    :class:`~repro.common.errors.StaticSoundnessError`.
     """
     from ..common.errors import StaticSoundnessError
 
+    exact, written = _classify_exact(program, line_size)
     if len(exact.lines) == 0:
         return
     hint_codes = hint.codes_for(exact.lines)
@@ -267,8 +242,8 @@ def _classify_exact(
     program, line_size: int
 ) -> tuple[LineClassification, np.ndarray]:
     """The streaming exact pass; also returns the ever-written line set
-    (needed by hint validation, which must not bless an RO_SHARED hint
-    over a privately *written* line)."""
+    (needed by :func:`check_static_hint`, which must not bless an
+    RO_SHARED hint over a privately *written* line)."""
     shift = np.uint64(line_size.bit_length() - 1)
     per_thread: list[np.ndarray] = []
     written_parts: list[np.ndarray] = []
@@ -380,7 +355,6 @@ class BatchSimulator(Simulator):
         *,
         sanitize: bool | None = None,
         force_residue_lines=(),
-        static_hint: LineClassification | None = None,
     ):
         super().__init__(cfg, program, recorder, sanitize=sanitize)
         self._fast = (
@@ -406,7 +380,7 @@ class BatchSimulator(Simulator):
         self._hit_cost = cfg.nonmem_cycles_per_event + cfg.l1.hit_latency
         self._sanitize_checks: list | None = None
         self.classification = (
-            classify_program(program, cfg.line_size, static_hint=static_hint)
+            classify_program(program, cfg.line_size)
             if self._fast
             else None
         )

@@ -113,49 +113,30 @@ class FaultPlan:
 
     # -- CLI spec --------------------------------------------------------
 
+    #: CLI spellings accepted besides the field names
+    ALIASES = {
+        "crash": "crash_rate",
+        "slow": "slow_rate",
+        "slow-seconds": "slow_seconds",
+        "pickle": "pickle_rate",
+        "corrupt": "corrupt_rate",
+    }
+
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
         """Build a plan from ``k=v`` pairs: ``seed=7,crash=0.2,slow=0.1``.
 
-        Keys: ``seed``, ``crash``, ``slow``, ``slow-seconds``, ``pickle``,
-        ``corrupt`` (rate aliases drop the ``_rate`` suffix).
+        Keys: the field names, or ``crash``, ``slow``, ``slow-seconds``,
+        ``pickle``, ``corrupt`` (rate aliases drop the ``_rate`` suffix).
         """
-        aliases = {
-            "crash": "crash_rate",
-            "slow": "slow_rate",
-            "slow-seconds": "slow_seconds",
-            "slow_seconds": "slow_seconds",
-            "pickle": "pickle_rate",
-            "corrupt": "corrupt_rate",
-            "seed": "seed",
-        }
-        kwargs: dict[str, float | int] = {}
-        for part in filter(None, (p.strip() for p in spec.split(","))):
-            if "=" not in part:
-                raise ConfigError(f"bad fault spec item {part!r} (expected k=v)")
-            raw_key, _, raw_value = part.partition("=")
-            field = aliases.get(raw_key.strip())
-            if field is None:
-                raise ConfigError(
-                    f"unknown fault spec key {raw_key.strip()!r}; "
-                    f"known: {sorted(set(aliases))}"
-                )
-            try:
-                kwargs[field] = (
-                    int(raw_value) if field == "seed" else float(raw_value)
-                )
-            except ValueError:
-                raise ConfigError(
-                    f"bad fault spec value {raw_value!r} for {raw_key.strip()!r}"
-                ) from None
-        return cls(**kwargs)
+        return _parse_spec(cls, spec, "fault")
 
     def describe(self) -> str:
         parts = [f"seed={self.seed}"]
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name != "seed" and value:
-                parts.append(f"{f.name}={value:g}")
+                parts.append(f"{f.name}={value!r}")
         return ",".join(parts)
 
 
@@ -228,46 +209,48 @@ class KillPlan:
         os.environ[durable.KILLPOINT_ENV] = self.describe()
         durable.set_kill_hook(self.hook())
 
+    #: CLI spellings accepted besides the field names
+    ALIASES = {"tear": "tear_rate"}
+
     @classmethod
     def parse(cls, spec: str) -> "KillPlan":
         """Build a plan from ``k=v`` pairs: ``seed=7,rate=0.1,tear=0.5``."""
-        aliases = {
-            "seed": "seed",
-            "rate": "rate",
-            "tear": "tear_rate",
-            "tear_rate": "tear_rate",
-            "sites": "sites",
-        }
-        kwargs: dict[str, object] = {}
-        for part in filter(None, (p.strip() for p in spec.split(","))):
-            if "=" not in part:
-                raise ConfigError(f"bad kill spec item {part!r} (expected k=v)")
-            raw_key, _, raw_value = part.partition("=")
-            field = aliases.get(raw_key.strip())
-            if field is None:
-                raise ConfigError(
-                    f"unknown kill spec key {raw_key.strip()!r}; "
-                    f"known: {sorted(set(aliases))}"
-                )
-            try:
-                if field == "seed":
-                    kwargs[field] = int(raw_value)
-                elif field == "sites":
-                    kwargs[field] = raw_value.strip()
-                else:
-                    kwargs[field] = float(raw_value)
-            except ValueError:
-                raise ConfigError(
-                    f"bad kill spec value {raw_value!r} for {raw_key.strip()!r}"
-                ) from None
-        return cls(**kwargs)  # type: ignore[arg-type]
+        return _parse_spec(cls, spec, "kill")
 
     def describe(self) -> str:
-        parts = [f"seed={self.seed}", f"rate={self.rate:g}",
-                 f"tear={self.tear_rate:g}"]
+        parts = [f"seed={self.seed}", f"rate={self.rate!r}",
+                 f"tear={self.tear_rate!r}"]
         if self.sites:
             parts.append(f"sites={self.sites}")
         return ",".join(parts)
+
+
+def _parse_spec(cls, spec: str, what: str):
+    """Build plan class ``cls`` from a ``k=v,k=v`` spec.
+
+    A key is a field name or one of ``cls.ALIASES``; each value is
+    converted to its field's type (the type of the field's default).
+    """
+    types = {f.name: type(f.default) for f in fields(cls)}
+    kwargs: dict[str, object] = {}
+    for part in filter(None, (p.strip() for p in spec.split(","))):
+        if "=" not in part:
+            raise ConfigError(f"bad {what} spec item {part!r} (expected k=v)")
+        raw_key, _, raw_value = part.partition("=")
+        key = raw_key.strip()
+        field = cls.ALIASES.get(key, key)
+        if field not in types:
+            raise ConfigError(
+                f"unknown {what} spec key {key!r}; "
+                f"known: {sorted(set(cls.ALIASES) | set(types))}"
+            )
+        try:
+            kwargs[field] = types[field](raw_value.strip())
+        except ValueError:
+            raise ConfigError(
+                f"bad {what} spec value {raw_value!r} for {key!r}"
+            ) from None
+    return cls(**kwargs)
 
 
 def apply_worker_fault(

@@ -3,9 +3,9 @@
 Exhaustively explores every interleaving of small bounded workloads on
 the *real* protocol classes, checking a declarative invariant suite at
 every reachable state and cross-checking detection against the
-happens-before oracle on every complete interleaving; the same suite
-compiles into per-dispatch sanitizer assertions for full-size runs
-(``run.py --sanitize``).  See ``docs/MODELCHECK.md``.
+happens-before oracle on every complete interleaving; the sanitizer
+runs the suite's line- and core-scoped checks after every dispatch of
+full-size runs (``run.py --sanitize``).  See ``docs/MODELCHECK.md``.
 """
 
 from .driver import CYCLE_STRIDE, Driver, PROTOCOL_KEYS, Run, modelcheck_config

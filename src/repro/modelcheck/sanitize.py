@@ -1,218 +1,54 @@
 """Coherence invariant sanitizer for full-size simulations.
 
-The model checker exhausts tiny configurations; the sanitizer carries
-the *line-scoped* subset of the same invariant suite into real runs.
+The model checker exhausts tiny configurations; the sanitizer runs the
+same checks inside real runs.  It holds no invariant logic of its own:
 :func:`arm_protocol` wraps a protocol instance's ``access`` and
 ``region_boundary`` methods (per instance, so unsanitized runs pay
-nothing) and re-checks, after every dispatch, the invariants that are
-locally decidable:
+nothing) and, after every dispatch, runs the applicable checks from
+:mod:`repro.modelcheck.invariants`:
 
-* after an access: SWMR and directory precision on the touched line
-  (MESI family), CE metadata liveness on the touched line, ARC
-  owner-table/shared-flag consistency on the touched line;
-* after a boundary: the CE spill log is clear, ARC's pending deltas and
-  dirty shared lines are flushed, and an acquire left no shared line.
+* after an access: :func:`~repro.modelcheck.invariants.line_checks`
+  on the touched line;
+* after a boundary: :func:`~repro.modelcheck.invariants.core_checks`
+  on the core that ran it.
 
-Checks are read-only and duck-typed on protocol structure (the same
-attributes :mod:`repro.modelcheck.invariants` dispatches on), so this
-module imports no protocol classes — which lets
-``CoherenceProtocol.__init__`` arm it lazily without an import cycle.
-The structural probe runs at the *first dispatch* (never at arm time,
-when subclass attributes don't exist yet) and builds checker closures
-with the hot attributes pre-bound, keeping the steady-state overhead to
-the applicable line scans.  A violation raises
-:class:`~repro.common.errors.SimulationError` at the exact dispatch
-that broke the invariant.
+The checks are read-only.  The structural probe runs at the *first
+dispatch* (never at arm time, when subclass attributes don't exist
+yet).  A violation raises :class:`~repro.common.errors.SimulationError`
+naming the catalogue invariant that failed, at the exact dispatch that
+broke it.
 """
 
 from __future__ import annotations
 
 from ..common.errors import SimulationError
-from ..trace.events import ACQUIRE, BARRIER
-
-#: MESI-family states, mirrored locally (no protocol import)
-_S, _O, _E, _M = 1, 2, 3, 4
+from .invariants import core_checks, line_checks
 
 
-def _fail(protocol, message: str) -> None:
-    raise SimulationError(f"sanitizer[{protocol.name}]: {message}")
-
-
-def _mesi_checker(protocol):
-    """SWMR + directory precision on one line, single pass."""
-    l1 = protocol.l1
-    directory = protocol.directory
-    cores = range(protocol.cfg.num_cores)
-
-    def check(line: int) -> None:
-        owner_core = -1
-        owners = 0
-        exclusive = False
-        s_mask = 0
-        copies = 0
-        for core in cores:
-            payload = l1[core].peek(line)
-            if payload is None:
-                continue
-            copies += 1
-            state = payload.state
-            if state == _S:
-                s_mask |= 1 << core
-            else:  # O, E or M
-                owners += 1
-                owner_core = core
-                if state != _O:
-                    exclusive = True
-        if owners > 1:
-            _fail(protocol, f"line {line:#x} has multiple owners")
-        if exclusive and copies > 1:
-            _fail(
-                protocol,
-                f"line {line:#x}: core {owner_core} holds E/M alongside "
-                f"{copies - 1} other copy/copies",
-            )
-        entry = directory.get(line)
-        dir_owner = entry.owner if entry is not None else -1
-        dir_sharers = entry.sharers if entry is not None else 0
-        expected_owner = owner_core if owners == 1 else -1
-        if dir_owner != expected_owner:
-            _fail(
-                protocol,
-                f"line {line:#x}: directory owner {dir_owner}, caches say "
-                f"{expected_owner}",
-            )
-        if dir_sharers != s_mask:
-            _fail(
-                protocol,
-                f"line {line:#x}: directory sharer mask {dir_sharers:#x}, "
-                f"caches say {s_mask:#x}",
-            )
-
-    return check
-
-
-def _ce_checker(protocol):
-    """CE metadata liveness on one line: live spilled entries are in the
-    spill log and never coexist with a live cached copy."""
-    l1 = protocol.l1
-    meta_table = protocol.meta_table
-    spill_log = protocol.spill_log
-    region = protocol.region
-
-    def check(line: int) -> None:
-        per_line = meta_table.get_line(line)
-        if per_line is None:
-            return
-        for core, entry in per_line.items():
-            if entry.region != region[core]:
-                continue  # dead metadata: inert by construction
-            if line not in spill_log[core]:
-                _fail(
-                    protocol,
-                    f"line {line:#x}: live spilled entry of core {core} "
-                    "missing from the spill log",
-                )
-            payload = l1[core].peek(line)
-            if payload is not None and payload.region == region[core]:
-                _fail(
-                    protocol,
-                    f"line {line:#x}: live spilled entry of core {core} "
-                    "coexists with a live cached copy",
-                )
-
-    return check
-
-
-def _arc_checker(protocol):
-    """ARC classification on one line: owner table vs actual copies."""
-    l1 = protocol.l1
-    owner_table = protocol.owner_table
-    cores = range(protocol.cfg.num_cores)
-
-    def check(line: int) -> None:
-        owner = owner_table.get(line)
-        for core in cores:
-            payload = l1[core].peek(line)
-            if payload is None:
-                continue
-            if owner is None:
-                _fail(protocol, f"line {line:#x} cached but never classified")
-            elif owner == -2:  # SHARED
-                if not payload.shared:
-                    _fail(
-                        protocol,
-                        f"line {line:#x}: SHARED but core {core} caches it "
-                        "with shared=False",
-                    )
-            elif core != owner:
-                _fail(
-                    protocol,
-                    f"line {line:#x}: private to core {owner} but cached "
-                    f"by core {core}",
-                )
-            elif payload.shared:
-                _fail(
-                    protocol,
-                    f"line {line:#x}: private line cached with shared=True",
-                )
-
-    return check
+def _fail(protocol, violations) -> None:
+    raise SimulationError(f"sanitizer[{protocol.name}]: {violations[0].render()}")
 
 
 def line_checkers(protocol) -> list:
-    """Build the line-scoped checkers applicable to ``protocol``.
+    """Bind the line-scoped checks applicable to ``protocol``.
 
     Each returned closure takes one line base address and raises
-    :class:`~repro.common.errors.SimulationError` on a violation; all
-    checks are read-only.  Shared by :func:`arm_protocol` (per-dispatch
-    checks) and the batch engine (per-distinct-line checks after a bulk
-    run).  Call only once the protocol subclass is fully constructed —
-    the structural probe duck-types on subclass attributes.
+    :class:`~repro.common.errors.SimulationError` on a violation.
+    Shared by :func:`arm_protocol` (per-dispatch checks) and the batch
+    engine (per-distinct-line checks after a bulk run).  Call only once
+    the protocol subclass is fully constructed — the structural probe
+    duck-types on subclass attributes.
     """
-    checks: list = []
-    if hasattr(protocol, "directory"):
-        checks.append(_mesi_checker(protocol))
-    if hasattr(protocol, "meta_table"):
-        checks.append(_ce_checker(protocol))
-    if hasattr(protocol, "owner_table"):
-        checks.append(_arc_checker(protocol))
-    return checks
 
+    def bind(check):
+        def checker(line: int) -> None:
+            violations = check(protocol, line)
+            if violations:
+                _fail(protocol, violations)
 
-def _check_boundary(protocol, core: int, kind: int) -> None:
-    if hasattr(protocol, "spill_log") and protocol.spill_log[core]:
-        _fail(
-            protocol,
-            f"core {core}: spill log survived the region-end clear",
-        )
-    if not hasattr(protocol, "owner_table"):
-        return
-    if protocol.pending_delta[core]:
-        _fail(
-            protocol,
-            f"core {core}: unregistered deltas survived the region-end flush",
-        )
-    # Direct set-dict iteration: this scan visits every resident private
-    # line at every boundary, so the two generator layers of
-    # ``hierarchy.items()`` are measurable — see bench_modelcheck.py.
-    invalidating = kind in (ACQUIRE, BARRIER)
-    for level in protocol.l1[core].levels():
-        for entries in level.raw_sets():
-            for line, payload in entries.items():
-                if not payload.shared:
-                    continue
-                if payload.dirty:
-                    _fail(
-                        protocol,
-                        f"core {core}: dirty shared line {line:#x} survived "
-                        "the self-downgrade",
-                    )
-                if invalidating:
-                    _fail(
-                        protocol,
-                        f"core {core}: shared line {line:#x} survived "
-                        "self-invalidation at an acquire",
-                    )
+        return checker
+
+    return [bind(check) for check in line_checks(protocol)]
 
 
 def arm_protocol(protocol) -> None:
@@ -220,23 +56,30 @@ def arm_protocol(protocol) -> None:
     inner_access = protocol.access
     inner_boundary = protocol.region_boundary
     line_of = protocol.machine.amap.line
-    checks: list = []
-    resolved = False
+    on_line: list | None = None
+    on_core: list | None = None
 
     def access(core, addr, size, is_write, cycle):
-        nonlocal resolved
+        nonlocal on_line
         latency = inner_access(core, addr, size, is_write, cycle)
-        if not resolved:
-            resolved = True
-            checks.extend(line_checkers(protocol))
+        if on_line is None:
+            on_line = line_checks(protocol)
         line = line_of(addr)
-        for check in checks:
-            check(line)
+        for check in on_line:
+            violations = check(protocol, line)
+            if violations:
+                _fail(protocol, violations)
         return latency
 
     def region_boundary(core, cycle, kind):
+        nonlocal on_core
         latency = inner_boundary(core, cycle, kind)
-        _check_boundary(protocol, core, kind)
+        if on_core is None:
+            on_core = core_checks(protocol)
+        for check in on_core:
+            violations = check(protocol, core, kind)
+            if violations:
+                _fail(protocol, violations)
         return latency
 
     protocol.access = access

@@ -1,15 +1,17 @@
-"""The four seeded protocol mutations, as source-level AST rewrites.
+"""The catalogue of the four seeded protocol mutations.
 
-``tests/test_modelcheck.py`` plants these defects *dynamically* (per
-instance, via monkeypatching) to prove the model checker has teeth.
-The verifier must catch the same defects *statically*, so each
-mutation exists in two equivalent forms here:
+Every verification layer that must catch a broken protocol draws its
+defects from :data:`MUTATIONS`.  Each mutation exists in two equivalent
+forms:
 
 * ``transform`` — an AST rewrite applied before instrumentation, so
   the mutant is a property of the recompiled source (what a buggy edit
-  to ``protocols/`` would look like);
-* ``dynamic`` — the monkeypatch equivalent, used when a symbolic
-  counterexample is concretized into a modelcheck trace and replayed
+  to ``protocols/`` would look like); ``repro-protover --mutate`` must
+  catch it statically;
+* ``dynamic`` — the per-instance monkeypatch equivalent.  The model
+  checker's mutation tests (``tests/test_modelcheck.py``) and the
+  sanitizer tests apply it to live protocol instances, and protover
+  uses it to replay a concretized counterexample as a modelcheck trace
   on a real (non-shadow) protocol instance.
 
 Every transform asserts that it actually rewrote something, so a
@@ -87,7 +89,7 @@ def _t_skip_self_invalidation(module: str, tree: ast.Module) -> ast.Module:
     return tree
 
 
-# -- dynamic equivalents (mirror tests/test_modelcheck.py) -------------------
+# -- dynamic equivalents (per-instance monkeypatches) -------------------------
 
 
 def _d_skip_invalidations(protocol) -> None:

@@ -105,8 +105,9 @@ class StaticReport:
         return False
 
     def line_hint(self) -> Optional[LineClassification]:
-        """The static classification as a batch-engine hint (None when
-        the mirrored layout could not be trusted)."""
+        """The static line classification, for
+        :func:`repro.core.batch.check_static_hint` (None when the
+        mirrored layout could not be trusted)."""
         if self.line_codes is None:
             return None
         line_arr = np.array(sorted(self.line_codes), dtype=np.uint64)

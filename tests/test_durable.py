@@ -28,7 +28,7 @@ from repro.common.durable import (
     publish_file,
     scan_frames,
 )
-from repro.harness.faultinject import KillPlan, hash_draw
+from repro.harness.faultinject import FaultPlan, KillPlan, hash_draw
 
 
 class _Died(BaseException):
@@ -270,6 +270,16 @@ class TestKillPlan:
         plan = KillPlan.parse("seed=7,rate=0.25,tear=0.5,sites=cache")
         assert plan == KillPlan(7, 0.25, 0.5, "cache")
         assert KillPlan.parse(plan.describe()) == plan
+
+    def test_fault_plan_describe_parses_back(self):
+        """The ``[faultinject: ...]`` banner pastes back into
+        ``--inject-faults``."""
+        plan = FaultPlan(
+            seed=7, crash_rate=0.2, slow_rate=0.05, slow_seconds=5,
+            pickle_rate=0.1, corrupt_rate=0.125,
+        )
+        assert FaultPlan.parse(plan.describe()) == plan
+        assert FaultPlan.parse(FaultPlan().describe()) == FaultPlan()
 
     def test_parse_rejects_bad_specs(self):
         from repro.common.errors import ConfigError

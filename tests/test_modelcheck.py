@@ -1,12 +1,13 @@
 """Model checker tests: exhaustive gate, mutations, shrinking, sanitizer.
 
 The headline assertions mirror the merge gate: every protocol's bounded
-state space is exhausted with zero violations, and deliberately broken
-protocols (per-instance mutations) produce minimized, replayable
-counterexample traces naming the violated invariant.
+state space is exhausted with zero violations, and the seeded protocol
+mutations of :data:`repro.protover.MUTATIONS` (applied per instance)
+produce minimized, replayable counterexample traces naming the
+violated invariant.
 """
 
-import types
+import functools
 
 import pytest
 
@@ -28,53 +29,23 @@ from repro.modelcheck import (
 )
 from repro.modelcheck.workload import MCEvent, curated_scenarios, enumerate_workloads
 from repro.protocols import make_protocol
+from repro.protover import MUTATIONS
 from repro.trace import Program, TraceBuilder
 from repro.trace.events import ACQUIRE, READ, RELEASE, WRITE
+from repro.verify.oracle import detected_keys, expected_conflicts
 
 ALL_KEYS = ("mesi", "ce", "ceplus", "aim", "arc")
 
 
-# --------------------------------------------------------------------------
-# deliberate protocol mutations (per-instance, applied by the driver)
-# --------------------------------------------------------------------------
-
-
-def skip_invalidations(protocol):
-    """MESI family: write upgrades/misses no longer invalidate S copies."""
-    protocol._invalidate_sharers = lambda *args, **kwargs: 0
-
-
-def blind_detection(protocol):
-    """CE family: drop the eager conflict checks entirely."""
-    protocol._check_remote = lambda *args, **kwargs: None
-    protocol._remote_bits_check = lambda *args, **kwargs: None
-
-
-def ignore_region_tag(protocol):
-    """CE family: report conflicts against *dead* (region-ended) bits."""
-
-    def unguarded(self, holder, payload, line, req_core, mask, req_is_write,
-                  cycle, via):
-        if req_is_write:
-            overlap = mask & (payload.read_mask | payload.write_mask)
-            first_was_write = bool(mask & payload.write_mask)
-        else:
-            overlap = mask & payload.write_mask
-            first_was_write = True
-        if overlap:
-            self.report_conflict(
-                cycle=cycle, line_addr=line, byte_mask=overlap,
-                first_core=holder, first_region=payload.region,
-                first_was_write=first_was_write, second_core=req_core,
-                second_was_write=req_is_write, detected_by=via,
-            )
-
-    protocol._check_remote = types.MethodType(unguarded, protocol)
-
-
-def skip_self_invalidation(protocol):
-    """ARC: acquires no longer invalidate shared lines (stale reads)."""
-    protocol._self_invalidate = lambda core: 0
+@functools.lru_cache(maxsize=None)
+def first_counterexample(name):
+    """The model checker's first counterexample against one mutation."""
+    mutation = MUTATIONS[name]
+    result = check_protocol(
+        mutation.replay_key, fail_fast=True, mutate=mutation.dynamic
+    )
+    assert not result.ok
+    return result.counterexamples[0]
 
 
 # --------------------------------------------------------------------------
@@ -110,52 +81,49 @@ class TestExhaustiveGate:
 class TestMutations:
     """A broken protocol must yield a minimized, replayable counterexample."""
 
-    def _first(self, key, mutate, **kwargs):
-        result = check_protocol(key, fail_fast=True, mutate=mutate, **kwargs)
-        assert not result.ok
-        return result.counterexamples[0]
-
-    def test_mesi_skipped_invalidation_breaks_swmr(self):
-        ce = self._first("mesi", skip_invalidations)
-        assert ce.invariant in ("swmr", "directory-precision", "ghost-value")
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_counterexample_replays(self, name):
+        mutation = MUTATIONS[name]
+        ce = first_counterexample(name)
         assert 0 < len(ce.minimized) <= len(ce.steps)
         # the rendered trace replays to the same violation
-        run = replay_trace("mesi", 2, 2, ce.trace, mutate=skip_invalidations)
-        assert any(v.invariant == ce.invariant for v in check_state(run))
+        run = replay_trace(
+            mutation.replay_key, 2, 2, ce.trace, mutate=mutation.dynamic
+        )
+        if ce.invariant in (SOUNDNESS, COMPLETENESS):
+            run.finalize()
+            must, may = expected_conflicts(run.recorder, run.cfg.protocol)
+            detected = detected_keys(run.protocol.stats.conflicts)
+            assert (
+                must - detected if ce.invariant == COMPLETENESS
+                else detected - may
+            )
+        else:
+            assert any(v.invariant == ce.invariant for v in check_state(run))
+
+    def test_mesi_skipped_invalidation_breaks_swmr(self):
+        ce = first_counterexample("skip-invalidations")
+        assert ce.invariant in ("swmr", "directory-precision", "ghost-value")
 
     def test_ce_blind_detection_is_incomplete(self):
-        ce = self._first("ce", blind_detection)
-        assert ce.invariant == COMPLETENESS
-        run = replay_trace("ce", 2, 2, ce.trace, mutate=blind_detection)
-        run.finalize()
-        from repro.verify.oracle import detected_keys, expected_conflicts
-
-        must, _may = expected_conflicts(run.recorder, run.cfg.protocol)
-        assert must - detected_keys(run.protocol.stats.conflicts)
+        assert first_counterexample("blind-detection").invariant == COMPLETENESS
 
     def test_ce_dead_region_bits_are_unsound(self):
-        ce = self._first("ce", ignore_region_tag)
-        assert ce.invariant == SOUNDNESS
-        run = replay_trace("ce", 2, 2, ce.trace, mutate=ignore_region_tag)
-        run.finalize()
-        from repro.verify.oracle import detected_keys, expected_conflicts
-
-        _must, may = expected_conflicts(run.recorder, run.cfg.protocol)
-        assert detected_keys(run.protocol.stats.conflicts) - may
+        assert first_counterexample("ignore-region-tag").invariant == SOUNDNESS
 
     def test_arc_skipped_self_invalidation_is_caught(self):
-        ce = self._first("arc", skip_self_invalidation)
+        ce = first_counterexample("skip-self-invalidation")
         assert ce.invariant == "arc-boundary"
-        run = replay_trace("arc", 2, 2, ce.trace, mutate=skip_self_invalidation)
-        assert any(v.invariant == ce.invariant for v in check_state(run))
 
     def test_minimized_traces_are_one_minimal(self):
         """No single further deletion of a minimized trace reproduces."""
-        ce = self._first("mesi", skip_invalidations)
+        ce = first_counterexample("skip-invalidations")
         steps = parse_trace(ce.trace)
 
         def reproduces(candidate):
-            driver = Driver("mesi", 2, 2, mutate=skip_invalidations)
+            driver = Driver(
+                "mesi", 2, 2, mutate=MUTATIONS["skip-invalidations"].dynamic
+            )
             run = driver.new_run()
             for core, event in candidate:
                 run.step(core, event)
@@ -240,19 +208,23 @@ class TestSanitizer:
     def test_armed_broken_protocol_raises_at_dispatch(self):
         machine = Machine(modelcheck_config("mesi", 2), sanitize=True)
         protocol = make_protocol(machine)
-        skip_invalidations(protocol)
+        MUTATIONS["skip-invalidations"].dynamic(protocol)
         protocol.access(0, 0, 4, False, 0)
         protocol.access(1, 0, 4, False, 10)
-        with pytest.raises(SimulationError, match="sanitizer"):
+        with pytest.raises(
+            SimulationError, match=r"^sanitizer\[mesi\]: (swmr|directory-precision): "
+        ):
             protocol.access(1, 0, 4, True, 20)
 
     def test_armed_broken_arc_raises_at_boundary(self):
         machine = Machine(modelcheck_config("arc", 2), sanitize=True)
         protocol = make_protocol(machine)
-        skip_self_invalidation(protocol)
+        MUTATIONS["skip-self-invalidation"].dynamic(protocol)
         protocol.access(0, 0, 4, True, 0)
         protocol.access(1, 0, 4, False, 10)  # line goes SHARED
-        with pytest.raises(SimulationError, match="self-invalidation"):
+        with pytest.raises(
+            SimulationError, match=r"arc-boundary: .*self-invalidation"
+        ):
             protocol.region_boundary(1, 20, ACQUIRE)
 
     def test_env_var_arms_the_machine(self, monkeypatch):
@@ -265,6 +237,86 @@ class TestSanitizer:
         machine = Machine(modelcheck_config("mesi", 2))
         protocol = make_protocol(machine)
         assert "access" not in vars(protocol)
+
+
+def _stale_sharer_bit(protocol):
+    protocol.l1[1].invalidate(0)  # the directory still lists core 1
+
+
+def _unlogged_spill(protocol):
+    protocol.spill_log[0].discard(0)
+
+
+def _skipped_spill_clear(protocol):
+    protocol._clear_spilled = lambda core, cycle: 0
+
+
+def _foreign_private_copy(protocol):
+    protocol.owner_table[0] = 1  # core 0 caches a line private to core 1
+
+
+def _unqueued_dirty_shared(protocol):
+    protocol.dirty_shared[0].discard(0)  # the release will not flush it
+
+
+_R0, _R1, _W0, _W1, _W2 = (
+    MCEvent(READ, 0), MCEvent(READ, 1),
+    MCEvent(WRITE, 0), MCEvent(WRITE, 1), MCEvent(WRITE, 2),
+)
+_SPILL = [(0, _W0), (0, _W1), (0, _W2)]  # 2-line L1: line 0 spills
+
+#: (protocol, healthy setup steps, plant, step that exposes it, invariant)
+PLANTED = {
+    "stale-sharer-bit": (
+        "mesi", [(0, _R0), (1, _R0)], _stale_sharer_bit, (0, _R0),
+        "directory-precision",
+    ),
+    "unlogged-live-spill": (
+        "ce", _SPILL, _unlogged_spill, (1, _R0), "ce-liveness",
+    ),
+    "spill-log-survives-boundary": (
+        "ce", _SPILL, _skipped_spill_clear, (0, MCEvent(RELEASE)),
+        "ce-liveness",
+    ),
+    "private-line-cached-by-another-core": (
+        "arc", [(0, _W0)], _foreign_private_copy, (0, _R0),
+        "arc-classification",
+    ),
+    "dirty-shared-survives-release": (
+        "arc", [(0, _W0), (1, _R0), (0, _W0)], _unqueued_dirty_shared,
+        (0, MCEvent(RELEASE)), "arc-boundary",
+    ),
+}
+
+
+class TestSanitizerParity:
+    """The explorer's whole-state check and the armed sanitizer run the
+    same functions, so a planted corruption trips both under one name."""
+
+    def _run(self, monkeypatch, case, *, armed):
+        key, setup, plant, exposing, _invariant = PLANTED[case]
+        if armed:
+            monkeypatch.setenv("REPRO_SANITIZE", "1")
+        else:
+            monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        run = Driver(key, cores=2, addrs=3).new_run()
+        for core, event in setup:
+            run.step(core, event)
+        assert check_state(run) == []
+        plant(run.protocol)
+        run.step(*exposing)
+        return run
+
+    @pytest.mark.parametrize("case", sorted(PLANTED))
+    def test_check_state_and_sanitizer_agree(self, monkeypatch, case):
+        invariant = PLANTED[case][-1]
+        violations = check_state(self._run(monkeypatch, case, armed=False))
+        assert {v.invariant for v in violations} == {invariant}
+        with pytest.raises(SimulationError) as excinfo:
+            self._run(monkeypatch, case, armed=True)
+        assert str(excinfo.value).startswith(
+            f"sanitizer[{PLANTED[case][0]}]: {invariant}: "
+        )
 
 
 class TestSanitizeFlagStdout:

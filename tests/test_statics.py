@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from repro.common.errors import StaticAnalysisError, StaticSoundnessError
-from repro.core.batch import CONTENDED, RO_SHARED, classify_program
+from repro.core.batch import (
+    CONTENDED,
+    RO_SHARED,
+    check_static_hint,
+    classify_program,
+)
 from repro.statics import (
     MAY_CONFLICT,
     MUST_CONFLICT,
@@ -316,7 +321,7 @@ class TestWorkloadVerdicts:
 
 
 # --------------------------------------------------------------------------
-# the batch-engine hint
+# the static line hint
 # --------------------------------------------------------------------------
 
 
@@ -329,8 +334,7 @@ class TestLineHint:
         hint = report.line_hint()
         assert hint is not None
         program = CAPTURE_WORKLOADS[name](num_threads=4, seed=3, scale=0.2)
-        out = classify_program(program, 64, static_hint=hint)
-        assert out is hint
+        check_static_hint(program, 64, hint)
 
     def test_corrupted_hint_rejected(self):
         from repro.capture.workloads import CAPTURE_WORKLOADS
@@ -347,21 +351,7 @@ class TestLineHint:
             num_threads=4, seed=3, scale=0.2
         )
         with pytest.raises(StaticSoundnessError):
-            classify_program(program, 64, static_hint=bad)
-
-    def test_validate_false_trusts_hint(self):
-        from repro.capture.workloads import CAPTURE_WORKLOADS
-
-        hint = build_report(
-            analyze_workload("capture-histogram", seed=3, scale=0.2)
-        ).line_hint()
-        program = CAPTURE_WORKLOADS["capture-histogram"](
-            num_threads=4, seed=3, scale=0.2
-        )
-        out = classify_program(
-            program, 64, static_hint=hint, validate_hint=False
-        )
-        assert out is hint
+            check_static_hint(program, 64, bad)
 
     def test_ro_shared_hint_over_written_private_line_rejected(self):
         from repro.trace import Program, TraceBuilder
@@ -376,7 +366,7 @@ class TestLineHint:
             np.full(len(exact.codes), RO_SHARED, dtype=np.int64),
         )
         with pytest.raises(StaticSoundnessError):
-            classify_program(program, 64, static_hint=hint)
+            check_static_hint(program, 64, hint)
 
     def test_ro_shared_hint_over_readonly_private_line_accepted(self):
         from repro.trace import Program, TraceBuilder
@@ -389,27 +379,7 @@ class TestLineHint:
             exact.lines.copy(),
             np.full(len(exact.codes), RO_SHARED, dtype=np.int64),
         )
-        out = classify_program(program, 64, static_hint=hint)
-        assert out is hint
-
-    def test_batch_simulator_accepts_hint(self):
-        from repro.capture.workloads import CAPTURE_WORKLOADS
-        from repro.common.config import SystemConfig
-        from repro.core.batch import BatchSimulator
-        from repro.core.simulator import Simulator
-
-        hint = build_report(
-            analyze_workload("capture-histogram", seed=3, scale=0.1)
-        ).line_hint()
-        program = CAPTURE_WORKLOADS["capture-histogram"](
-            num_threads=4, seed=3, scale=0.1
-        )
-        from repro.verify.diffengine import render_result
-
-        cfg = SystemConfig(num_cores=4, protocol="ce+")
-        hinted = BatchSimulator(cfg, program, static_hint=hint).run()
-        scalar = Simulator(cfg, program).run()
-        assert render_result(hinted) == render_result(scalar)
+        check_static_hint(program, 64, hint)
 
 
 # --------------------------------------------------------------------------

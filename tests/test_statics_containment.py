@@ -9,9 +9,9 @@ schedule.  Information only ever shrinks along that chain, so:
 checked over all five shipped ``capture-*`` workloads (both inner
 containments, for CE / CE+ / ARC) and over hypothesis-generated
 capture-DSL programs fuzzing the abstract interpreter against the real
-capture runtime.  The static line-classification hint is additionally
-validated against the exact batch-engine classification on every
-program the fuzzer produces.
+capture runtime.  The static line classification is additionally
+checked to over-approximate the exact one on every program the fuzzer
+produces.
 
 The reverse direction is *precision*, not soundness: a deliberately
 data-dependent workload shows the analyzer widening to MAY-CONFLICT on
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.analysis.regions import region_conflicts
 from repro.capture.workloads import CAPTURE_WORKLOADS
 from repro.common.config import SystemConfig
-from repro.core.batch import classify_program
+from repro.core.batch import check_static_hint
 from repro.core.simulator import Simulator
 from repro.statics import analyze_source, analyze_workload, build_report, diff_dynamic
 from repro.verify import detected_keys
@@ -107,7 +107,7 @@ class TestCaptureContainment:
     def test_line_hint_passes_exact_validation(self, name, captures, reports):
         hint = reports[name].line_hint()
         assert hint is not None
-        assert classify_program(captures[name], 64, static_hint=hint) is hint
+        check_static_hint(captures[name], 64, hint)
 
     def test_racy_counter_dynamic_conflicts_are_agreed(
         self, captures, reports
@@ -271,4 +271,4 @@ class TestFuzzedContainment:
 
         hint = report.line_hint()
         if hint is not None:
-            assert classify_program(program, 64, static_hint=hint) is hint
+            check_static_hint(program, 64, hint)
