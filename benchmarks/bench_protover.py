@@ -1,6 +1,6 @@
 """Symbolic protocol verifier benchmark: full-sweep wall-clock budget.
 
-``repro-protover`` runs as a CI merge gate (every push re-proves the
+``repro protover`` runs as a CI merge gate (every push re-proves the
 nine invariants inductively over all five protocols, re-checks both
 refinement theorems, and re-drills the four seeded mutations with
 dynamic concretization), so the whole stack must stay fast enough to

@@ -1,4 +1,4 @@
-"""Service load benchmark: concurrent clients against ``repro-serve``.
+"""Service load benchmark: concurrent clients against ``repro serve``.
 
 A real :class:`~repro.service.server.ConflictService` (HTTP over actual
 sockets, 4 in-process workers) is driven by **4 concurrent clients

@@ -1,6 +1,6 @@
 """Static analyzer benchmark: whole-suite analysis wall-clock budget.
 
-``repro-staticlint`` is meant to run as a pre-capture gate (CI's
+``repro staticlint`` is meant to run as a pre-capture gate (CI's
 static-analysis job runs it on every push), so the whole shipped
 capture suite must analyze fast: the gate asserts that statically
 analyzing **all five** ``capture-*`` workloads — parse, abstract

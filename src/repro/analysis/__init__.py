@@ -16,7 +16,7 @@ questions the simulator answers slowly:
   :class:`~repro.common.config.SystemConfig` combinations, each rule
   with a stable id, severity and fix hint.
 
-Entry points: the ``repro-analyze`` CLI (:mod:`repro.tools.analyze`)
+Entry points: the ``repro analyze`` CLI (:mod:`repro.tools.analyze`)
 and ``repro.harness.run --analyze``.
 """
 

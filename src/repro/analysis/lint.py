@@ -1,7 +1,7 @@
 """Rule-based static lint over traces and system configurations.
 
 Every rule has a stable id, a severity and a fix hint, so findings are
-machine-consumable (``repro-analyze --format json``) and the harness can
+machine-consumable (``repro analyze --format json``) and the harness can
 gate runs on them (``repro.harness.run --analyze``).  The rules catch
 the two classes of problems that waste simulation time:
 

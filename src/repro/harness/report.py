@@ -3,15 +3,14 @@
 ``build_report`` runs every registered experiment at the given settings
 and renders one Markdown document: for each experiment, the regenerated
 tables plus the expected-shape verdicts from
-:mod:`repro.harness.shapes`.  ``python -m repro.harness.report`` writes
-it to a file — this is how the repository's EXPERIMENTS.md measurement
-blocks are produced.
+:mod:`repro.harness.shapes`.  ``repro report`` writes it to a file —
+this is how the repository's EXPERIMENTS.md measurement blocks are
+produced.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 from pathlib import Path
 
@@ -91,7 +90,7 @@ def build_report(
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro.harness.report")
+    parser = argparse.ArgumentParser(prog="repro report")
     parser.add_argument("--out", type=Path, default=Path("report.md"))
     parser.add_argument(
         "--preset", choices=("full", "bench", "quick"), default="full"
@@ -152,7 +151,3 @@ def main(argv: list[str] | None = None) -> int:
     durable.atomic_replace_text(args.out, report, site="report")
     print(f"wrote {args.out} ({len(report.splitlines())} lines)")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

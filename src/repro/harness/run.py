@@ -2,11 +2,13 @@
 
 Usage::
 
-    python -m repro.harness.run --list
-    python -m repro.harness.run fig_perf_16
-    python -m repro.harness.run all --preset bench
-    python -m repro.harness.run all --preset quick --jobs 4
-    python -m repro.harness.run fig_aim_sensitivity --threads 16 --scale 1.0
+    repro run --list
+    repro run fig_perf_16
+    repro run all --preset bench
+    repro run all --preset quick --jobs 4
+    repro run fig_aim_sensitivity --threads 16 --scale 1.0
+
+(``python -m repro.harness.run`` is the same command.)
 
 ``--jobs N`` fans simulation points out across N worker processes
 (``--jobs auto`` clamps to the CPU count); results reassemble
@@ -161,7 +163,7 @@ def _build_executor(args: argparse.Namespace) -> Executor:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro.harness.run",
+        prog="repro run",
         description="Regenerate the paper's tables and figures.",
     )
     parser.add_argument("experiment", nargs="?", help="experiment id, or 'all'")
@@ -263,7 +265,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.analyze or args.analyze_strict:
         if not prescreen(settings, strict=args.analyze_strict):
             if args.analyze_strict:
-                return 3
+                # imported here, not at the top: every suite run pays
+                # this module's start-up, the pre-screen already paid
+                # for the analyzer CLI
+                from ..cli import EXIT_FINDINGS
+
+                return EXIT_FINDINGS
     if args.resume and args.no_cache:
         parser.error("--resume needs the cache (its checkpoint journal)")
     targets = list(REGISTRY) if args.experiment == "all" else [args.experiment]

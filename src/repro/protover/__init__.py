@@ -30,7 +30,7 @@ per guarded transition, before any simulation runs:
    fails to reproduce its violation is *unsoundness* and test-fatal
    (exit 4), mirroring the staticlint soundness-containment discipline.
 
-The ``repro-protover`` CLI drives the sweep and regenerates the
+The ``repro protover`` CLI drives the sweep and regenerates the
 transition tables committed in ``docs/PROTOCOLS.md``.
 """
 

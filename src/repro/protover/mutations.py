@@ -6,7 +6,7 @@ forms:
 
 * ``transform`` — an AST rewrite applied before instrumentation, so
   the mutant is a property of the recompiled source (what a buggy edit
-  to ``protocols/`` would look like); ``repro-protover --mutate`` must
+  to ``protocols/`` would look like); ``repro protover --mutate`` must
   catch it statically;
 * ``dynamic`` — the per-instance monkeypatch equivalent.  The model
   checker's mutation tests (``tests/test_modelcheck.py``) and the

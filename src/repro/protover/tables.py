@@ -9,7 +9,7 @@ event shape, the set of next classes, the union of coherence actions,
 and how many guard-distinct transition variants were proven under the
 row.  The section lives between ``protover:begin``/``protover:end``
 markers so the hand-written walkthroughs above it stay authoritative
-prose; ``repro-protover --write-docs`` regenerates it and CI fails on
+prose; ``repro protover --write-docs`` regenerates it and CI fails on
 drift (``--check-docs``).
 """
 
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .induct import SweepResult
 
-BEGIN = "<!-- protover:begin (generated by repro-protover --write-docs) -->"
+BEGIN = "<!-- protover:begin (generated by repro protover --write-docs) -->"
 END = "<!-- protover:end -->"
 
 #: display order for pre-state classes
@@ -46,7 +46,7 @@ def render_tables(results: list[SweepResult]) -> str:
         "",
         "## Verified transition tables",
         "",
-        "Generated by `repro-protover --write-docs` from the guarded "
+        "Generated by `repro protover --write-docs` from the guarded "
         "transition relation the symbolic verifier extracts out of "
         "`src/repro/protocols/` and proves inductively (all nine "
         "invariants re-checked after every transition; guards shown "

@@ -15,13 +15,13 @@ CLI into a multi-client server:
 * :mod:`~repro.service.tracestore` — content-addressed store of
   uploaded ``.rtb`` traces (streaming writes, integrity-checked).
 * :mod:`~repro.service.jobs` — job execution through the executor
-  (shared verbatim by the workers and ``repro-client run-local``, which
+  (shared verbatim by the workers and ``repro client run-local``, which
   is what makes HTTP results byte-identical to direct runs).
 * :mod:`~repro.service.worker` — in-process worker pool with lease
   heartbeats; results are journaled durably before acknowledgement.
 * :mod:`~repro.service.server` — the threaded stdlib HTTP front door
-  (``repro-serve``).
-* :mod:`~repro.service.client` — stdlib HTTP client + ``repro-client``.
+  (``repro serve``).
+* :mod:`~repro.service.client` — stdlib HTTP client + ``repro client``.
 
 See docs/SERVICE.md for the API reference and the durability matrix.
 """

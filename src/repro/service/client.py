@@ -1,4 +1,4 @@
-"""``repro-client``: the stdlib HTTP client for the analysis service.
+"""``repro client``: the stdlib HTTP client for the analysis service.
 
 :class:`ServiceClient` is a thin, typed wrapper over
 :mod:`http.client` — chosen over ``urllib`` because it streams request
@@ -10,7 +10,7 @@ executes the *same* :func:`~repro.service.jobs.execute_job` path the
 workers run and prints the *same*
 :func:`~repro.service.jobs.render_payload` bytes the server serves, so
 
-    repro-client result <id>  ==  repro-client run-local <same spec>
+    repro client result <id>  ==  repro client run-local <same spec>
 
 byte for byte — the equivalence the CI smoke checks with ``cmp``.
 """
@@ -44,7 +44,7 @@ class ServiceHTTPError(ServiceError):
 
 
 class ServiceClient:
-    """Typed access to every ``repro-serve`` endpoint."""
+    """Typed access to every ``repro serve`` endpoint."""
 
     def __init__(self, base_url: str = DEFAULT_URL, *, timeout: float = 120.0):
         url = urlsplit(base_url if "//" in base_url else f"http://{base_url}")
@@ -76,7 +76,7 @@ class ServiceClient:
             data = response.read()
         except (ConnectionError, OSError) as exc:
             raise ServiceError(
-                f"cannot reach repro-serve at "
+                f"cannot reach repro serve at "
                 f"http://{self.host}:{self.port}: {exc}"
             ) from None
         finally:
@@ -303,8 +303,8 @@ def _cmd_list(client: ServiceClient, args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro-client",
-        description="Talk to a running repro-serve instance.",
+        prog="repro client",
+        description="Talk to a running repro serve instance.",
     )
     parser.add_argument(
         "--url", default=os.environ.get(URL_ENV, DEFAULT_URL),
@@ -380,12 +380,9 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_list(client, args)
         return 0
     except ReproError as exc:
-        print(f"repro-client: {exc}", file=sys.stderr)
+        print(f"repro client: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"repro-client: {exc}", file=sys.stderr)
+        print(f"repro client: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

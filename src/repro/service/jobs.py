@@ -4,7 +4,7 @@
 into a plain JSON-compatible result dict.  The service's equivalence
 contract — a job submitted over HTTP returns bytes identical to the
 same spec run directly — holds *by construction* because the worker
-pool and ``repro-client run-local`` both call this function and
+pool and ``repro client run-local`` both call this function and
 serialize with :func:`render_payload`; there is no server-side result
 shaping to drift.
 

@@ -18,7 +18,7 @@ State machine::
 Claims are *leases*: a worker owns a job only until ``deadline``, and
 must :meth:`~JobQueue.heartbeat` to keep it.  A worker that dies simply
 stops heartbeating; :meth:`~JobQueue.expire_leases` (run by every claim
-and by ``repro-fsck``) re-queues the orphaned job — or parks it as
+and by ``repro fsck``) re-queues the orphaned job — or parks it as
 ``TIMEOUT`` once its attempts are spent, so a poison job cannot loop
 forever.  Completion is owner-checked: a worker whose lease expired
 while it computed gets its :meth:`~JobQueue.complete` rejected, which
@@ -275,7 +275,7 @@ class JobQueue:
 
         Returns the affected ``(job id, new state)`` pairs.  Run by
         every claim, by the worker pool's idle loop, and by
-        ``repro-fsck --repair`` against a downed service's DB.
+        ``repro fsck --repair`` against a downed service's DB.
         """
         now = self.clock()
         with self._lock:

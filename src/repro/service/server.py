@@ -1,4 +1,4 @@
-"""The HTTP front door: ``repro-serve``.
+"""The HTTP front door: ``repro serve``.
 
 A threaded stdlib :class:`http.server.ThreadingHTTPServer` over the
 durable pieces — :class:`~repro.service.queue.JobQueue`,
@@ -401,7 +401,7 @@ def make_server(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro-serve",
+        prog="repro serve",
         description="Serve the conflict-analysis API over HTTP.",
     )
     parser.add_argument("--host", default="127.0.0.1")
@@ -445,12 +445,12 @@ def main(argv: list[str] | None = None) -> int:
             quiet=args.quiet,
         )
     except ServiceError as exc:
-        print(f"repro-serve: {exc}", file=sys.stderr)
+        print(f"repro serve: {exc}", file=sys.stderr)
         return 2
     httpd = make_server(service, args.host, args.port, quiet=args.quiet)
     host, port = httpd.server_address[:2]
     print(
-        f"repro-serve: listening on http://{host}:{port} "
+        f"repro serve: listening on http://{host}:{port} "
         f"(data: {service.data_dir}, workers: {args.workers})",
         file=sys.stderr,
         flush=True,
@@ -463,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         httpd.server_close()
         service.stop()
-        print("repro-serve: stopped", file=sys.stderr)
+        print("repro serve: stopped", file=sys.stderr)
     return 0
 
 

@@ -9,7 +9,7 @@ complete, CRC-clean trace* before anything is published, and
 publication is the fsync'd atomic rename of
 :func:`~repro.common.durable.publish_file`.  A crash at any instant
 therefore leaves either nothing (plus ``.tmp-*`` residue that
-``repro-fsck``/the startup GC reclaims) or a fully-verified trace —
+``repro fsck``/the startup GC reclaims) or a fully-verified trace —
 never a torn one a later job could trip over.
 
 Traces are addressed by the SHA-256 of their bytes, so uploads are
@@ -140,7 +140,7 @@ class TraceStore:
         if not scanned.ok:
             raise ServiceError(
                 f"stored trace {digest[:12]} no longer verifies "
-                f"({scanned.reason}); run repro-fsck"
+                f"({scanned.reason}); run repro fsck"
             )
         return TraceInfo(
             digest=digest, bytes=path.stat().st_size,

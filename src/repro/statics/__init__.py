@@ -6,9 +6,11 @@ exact mirrored addresses, per-thread access sites with tid-affine index
 slices, a lockset + barrier-phase coarsening of happens-before, and a
 NO/MAY/MUST-CONFLICT verdict for every cross-thread site pair.  The
 companion line classification is exportable as a
-:class:`~repro.core.batch.LineClassification` hint for the batch engine,
-which validates at runtime that the static answer over-approximates the
-exact one.
+:class:`~repro.core.batch.LineClassification`
+(:meth:`~repro.statics.report.StaticReport.line_hint`); no simulator
+consumes it.  Its only use is the soundness check
+:func:`~repro.core.batch.check_static_hint`, which raises unless the
+static answer over-approximates the exact one.
 
 Entry points: :func:`analyze_source` (a source string),
 :func:`analyze_file` (a ``.py`` path), :func:`analyze_workload` (a

@@ -8,8 +8,8 @@ produces the three analyzer outputs:
   lock / barrier-ordered), MAY-CONFLICT, or MUST-CONFLICT;
 * every statically known cache line classified PRIVATE(t) / RO_SHARED /
   CONTENDED, exportable as a :class:`~repro.core.batch.LineClassification`
-  hint (the perf tie-in — validated against the exact classifier at
-  runtime);
+  (checked against the exact classifier by
+  :func:`~repro.core.batch.check_static_hint`);
 * a soundness surface: :meth:`StaticReport.covers` answers "could the
   analyzer have missed this dynamic conflict?", which the containment
   suite asserts is never true, and :func:`diff_dynamic` splits a

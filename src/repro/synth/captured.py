@@ -7,7 +7,7 @@ recorded trace.  Registration here makes them first-class workloads:
 they build through :func:`repro.synth.base.generate`, flow through the
 executor and its result cache (a :class:`WorkloadSpec` is just a
 (name, params) recipe, so fork workers re-capture deterministically),
-and show up in ``repro-run``, ``repro-analyze`` and ``repro-inspect``
+and show up in ``repro run``, ``repro analyze`` and ``repro inspect``
 by name.
 
 Captures are deterministic in (name, num_threads, seed, scale): the

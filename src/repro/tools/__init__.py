@@ -1,1 +1,1 @@
-"""Command-line utilities: workload inspection and trace dumping."""
+"""The ``repro`` subcommands' implementations (see :mod:`repro.cli`)."""

@@ -7,16 +7,14 @@ the trace/config lint rules.
 
 Usage::
 
-    python -m repro.tools.analyze racy-writers --threads 8
-    python -m repro.tools.analyze stencil-ocean --format json
-    python -m repro.tools.analyze path/to/trace.npz --fail-on race
+    repro analyze racy-writers --threads 8
+    repro analyze stencil-ocean --format json
+    repro analyze path/to/trace.rtb --fail-on race
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 
 from ..analysis import (
     BarrierStallError,
@@ -26,19 +24,19 @@ from ..analysis import (
     region_conflicts,
 )
 from ..analysis.lint import SEVERITIES
+from ..cli import (
+    EXIT_FINDINGS,
+    add_format,
+    add_target_args,
+    emit,
+    pow2_cores,
+    program_from_args,
+)
 from ..common.config import SystemConfig
 from ..trace.program import Program
-from .inspect import load_target, parse_params
 
 #: conflicts printed in text mode before eliding
 TEXT_CONFLICT_LIMIT = 20
-
-
-def _pow2_cores(num_threads: int) -> int:
-    cores = 2
-    while cores < num_threads:
-        cores *= 2
-    return cores
 
 
 def analyze_program(
@@ -151,15 +149,8 @@ def should_fail(report: dict, fail_on: str) -> bool:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro.tools.analyze")
-    parser.add_argument("target", help="workload name or .npz trace path")
-    parser.add_argument("--threads", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--scale", type=float, default=0.2)
-    parser.add_argument(
-        "--param", action="append", metavar="KEY=VALUE",
-        help="workload generator parameter (repeatable)",
-    )
+    parser = argparse.ArgumentParser(prog="repro analyze")
+    add_target_args(parser)
     parser.add_argument(
         "--protocol", choices=("mesi", "ce", "ce+", "arc"), default="ce+",
         help="protocol assumed for the config lint rules",
@@ -176,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-lint", action="store_true", help="skip the lint rules"
     )
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    add_format(parser)
     parser.add_argument(
         "--fail-on", choices=("never", "warning", "error", "race"),
         default="never",
@@ -185,11 +176,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    program = load_target(
-        args.target, args.threads, args.seed, args.scale,
-        **parse_params(args.param),
-    )
-    cores = args.cores if args.cores is not None else _pow2_cores(
+    program = program_from_args(args)
+    cores = args.cores if args.cores is not None else pow2_cores(
         program.num_threads
     )
     cfg = SystemConfig(num_cores=cores, protocol=args.protocol)
@@ -200,12 +188,5 @@ def main(argv: list[str] | None = None) -> int:
         races=not args.no_races,
         lint=not args.no_lint,
     )
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_text(report))
-    return 3 if should_fail(report, args.fail_on) else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    emit(args.format, report, render_text(report))
+    return EXIT_FINDINGS if should_fail(report, args.fail_on) else 0

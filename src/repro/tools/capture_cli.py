@@ -11,58 +11,55 @@ fly) under one or all protocols, streaming ``.rtb`` inputs out of core.
 
 Usage::
 
-    python -m repro.tools.capture_cli capture capture-histogram -o hist.rtb
-    python -m repro.tools.capture_cli replay hist.rtb --protocol all
-    python -m repro.tools.capture_cli summary hist.rtb
+    repro capture capture capture-histogram -o hist.rtb
+    repro capture replay hist.rtb --protocol all
+    repro capture summary hist.rtb
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 from pathlib import Path
 
 from ..capture.workloads import CAPTURE_WORKLOADS
+from ..cli import (
+    add_format,
+    add_target_args,
+    emit,
+    parse_params,
+    pow2_cores,
+    program_from_args,
+)
 from ..common.config import SystemConfig
-from ..common.errors import TraceError
 from ..core.api import ALL_PROTOCOLS, run_program
 from ..harness.tables import TextTable
 from ..synth.base import generate
 from ..trace.binio import stream_program_bin
-from ..trace.io import BIN_SUFFIX, load_program, save_program
+from ..trace.io import BIN_SUFFIX, save_program
 from ..trace.program import Program
-from .inspect import parse_params
 
 
-def _capture(name: str, threads: int, seed: int, scale: float, **params) -> Program:
-    if name not in CAPTURE_WORKLOADS:
+def _capture(args: argparse.Namespace) -> Program:
+    if args.target not in CAPTURE_WORKLOADS:
         known = ", ".join(sorted(CAPTURE_WORKLOADS))
-        raise SystemExit(f"unknown capture workload {name!r} (known: {known})")
-    return generate(name, num_threads=threads, seed=seed, scale=scale, **params)
+        raise SystemExit(
+            f"unknown capture workload {args.target!r} (known: {known})"
+        )
+    return generate(
+        args.target, num_threads=args.threads, seed=args.seed,
+        scale=args.scale, **parse_params(args.param),
+    )
 
 
-def _load_or_capture(
-    target: str, threads: int, seed: int, scale: float, **params
-) -> Program:
-    path = Path(target)
-    if path.suffix in (BIN_SUFFIX, ".npz") and path.exists():
-        return load_program(path)
-    return _capture(target, threads, seed, scale, **params)
-
-
-def _pow2_at_least(n: int) -> int:
-    cores = 2
-    while cores < n:
-        cores *= 2
-    return cores
+def _load_or_capture(args: argparse.Namespace) -> Program:
+    """A trace file, or a fresh capture of a ``capture-*`` workload."""
+    if Path(args.target).is_file():
+        return program_from_args(args)
+    return _capture(args)
 
 
 def cmd_capture(args: argparse.Namespace) -> int:
-    program = _capture(
-        args.workload, args.threads, args.seed, args.scale,
-        **parse_params(args.param),
-    )
+    program = _capture(args)
     out = Path(args.output)
     if out.suffix not in (BIN_SUFFIX, ".npz"):
         raise SystemExit(
@@ -86,13 +83,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
     def open_program() -> Program:
         if stream:
             return stream_program_bin(path)
-        return _load_or_capture(
-            args.target, args.threads, args.seed, args.scale,
-            **parse_params(args.param),
-        )
+        return _load_or_capture(args)
 
     program = open_program()
-    cores = args.cores or _pow2_at_least(program.num_threads)
+    cores = args.cores or pow2_cores(program.num_threads)
     protocols = (
         list(ALL_PROTOCOLS) if args.protocol == "all" else [args.protocol]
     )
@@ -120,19 +114,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
             summary["flit_hops"],
             summary["conflicts"],
         )
-    if args.format == "json":
-        print(json.dumps({"target": program.name, "runs": report},
-                         indent=2, sort_keys=True))
-    else:
-        print(table.render())
+    emit(args.format, {"target": program.name, "runs": report}, table.render())
     return 0
 
 
 def cmd_summary(args: argparse.Namespace) -> int:
-    program = _load_or_capture(
-        args.target, args.threads, args.seed, args.scale,
-        **parse_params(args.param),
-    )
+    program = _load_or_capture(args)
     stats = program.stats()
     table = TextTable(
         f"Capture: {program.name}", ["characteristic", "value"]
@@ -149,35 +136,24 @@ def cmd_summary(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_build_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--threads", type=int, default=4)
-    sub.add_argument("--seed", type=int, default=1)
-    sub.add_argument("--scale", type=float, default=0.2)
-    sub.add_argument(
-        "--param", action="append", metavar="KEY=VALUE",
-        help="workload parameter (repeatable)",
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro-capture")
+    parser = argparse.ArgumentParser(prog="repro capture")
     subs = parser.add_subparsers(dest="command", required=True)
 
     cap = subs.add_parser(
         "capture", help="record a capture-* workload to a trace file"
     )
-    cap.add_argument("workload", help="capture workload name")
+    add_target_args(cap, threads=4, target_help="capture workload name")
     cap.add_argument(
         "-o", "--output", required=True,
         help=f"trace path ({BIN_SUFFIX} streams, .npz materializes)",
     )
-    _add_build_args(cap)
     cap.set_defaults(func=cmd_capture)
 
     rep = subs.add_parser(
         "replay", help="simulate a recorded trace or fresh capture"
     )
-    rep.add_argument("target", help=f"trace path ({BIN_SUFFIX}/.npz) or workload name")
+    add_target_args(rep, threads=4)
     rep.add_argument(
         "--protocol", choices=("mesi", "ce", "ce+", "arc", "all"),
         default="all",
@@ -190,15 +166,13 @@ def main(argv: list[str] | None = None) -> int:
         "--stream", action="store_true",
         help=f"replay a {BIN_SUFFIX} file out of core, one chunk at a time",
     )
-    rep.add_argument("--format", choices=("text", "json"), default="text")
-    _add_build_args(rep)
+    add_format(rep)
     rep.set_defaults(func=cmd_replay)
 
     summ = subs.add_parser(
         "summary", help="print a capture's characteristics"
     )
-    summ.add_argument("target", help=f"trace path ({BIN_SUFFIX}/.npz) or workload name")
-    _add_build_args(summ)
+    add_target_args(summ, threads=4)
     summ.set_defaults(func=cmd_summary)
 
     lst = subs.add_parser("list", help="list capture workloads")
@@ -206,12 +180,4 @@ def main(argv: list[str] | None = None) -> int:
         [print(name) for name in sorted(CAPTURE_WORKLOADS)], 0)[1])
 
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except TraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return args.func(args)

@@ -40,18 +40,18 @@ idiom).  A trailing ``# detlint: ok`` comment suppresses a finding.
 
 Usage::
 
-    python -m repro.tools.detlint                 # default: protocols + core
-    python -m repro.tools.detlint src/repro --format json
+    repro detlint                 # default: protocols + core
+    repro detlint src/repro --format json
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
+
+from ..cli import EXIT_FINDINGS, add_format, emit
 
 #: checked by default: the modules whose control flow decides schedules,
 #: plus the harness and CLI tools whose file sweeps feed reports, plus
@@ -352,7 +352,7 @@ def lint_paths(paths: list[str]) -> list[Finding]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro.tools.detlint",
+        prog="repro detlint",
         description="Determinism lint: set iteration / id() in the "
         "simulation core.",
     )
@@ -360,18 +360,11 @@ def main(argv: list[str] | None = None) -> int:
         "paths", nargs="*", default=list(DEFAULT_PATHS),
         help=f"files or directories to lint (default: {' '.join(DEFAULT_PATHS)})",
     )
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    add_format(parser)
     args = parser.parse_args(argv)
 
     findings = lint_paths(args.paths)
-    if args.format == "json":
-        print(json.dumps([f.to_dict() for f in findings], indent=2))
-    else:
-        for finding in findings:
-            print(finding.render())
-        print(f"{len(findings)} finding(s)")
-    return 3 if findings else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    lines = [finding.render() for finding in findings]
+    lines.append(f"{len(findings)} finding(s)")
+    emit(args.format, [f.to_dict() for f in findings], "\n".join(lines))
+    return EXIT_FINDINGS if findings else 0

@@ -1,4 +1,4 @@
-"""``repro-fsck``: verify and repair the harness's durable artifacts.
+"""``repro fsck``: verify and repair the harness's durable artifacts.
 
 The persistence layer (:mod:`repro.common.durable`) guarantees that a
 crash leaves every artifact *old-or-new, never garbage* — but "old"
@@ -16,7 +16,7 @@ This tool is the offline recovery path for all of them:
   (:func:`repro.trace.binio.scan_rtb`); repair rewrites the valid
   chunk prefix as a consistent, footer-terminated trace
   (:func:`~repro.trace.binio.salvage_rtb`).
-* **service data directories** — a ``repro-serve`` data dir (detected
+* **service data directories** — a ``repro serve`` data dir (detected
   by its ``queue.sqlite``) checks all three stores at once: the queue
   DB for ``RUNNING`` jobs whose lease-holding worker died (repair
   re-queues them — or parks attempt-exhausted ones as ``TIMEOUT`` —
@@ -26,9 +26,9 @@ This tool is the offline recovery path for all of them:
 
 Usage::
 
-    repro-fsck PATH [PATH ...]          # check only (side-effect-free)
-    repro-fsck --repair PATH [...]      # fix what can be fixed
-    repro-fsck --tmp-age 0 CACHE_DIR    # treat all tmp residue as stale
+    repro fsck PATH [PATH ...]          # check only (side-effect-free)
+    repro fsck --repair PATH [...]      # fix what can be fixed
+    repro fsck --tmp-age 0 CACHE_DIR    # treat all tmp residue as stale
 
 Paths may be ``.rtb`` / ``.rjl`` files or directories (scanned
 recursively for both, plus cache shards).  Exit status: 0 when every
@@ -41,15 +41,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..cli import EXIT_BROKEN, add_format, emit
 from ..common import durable
 from ..common.errors import TraceError
-
-#: exit status when findings remain after the requested action
-EXIT_FINDINGS = 4
 
 #: default stale-tmp age gate (seconds); mirrors the cache startup GC
 DEFAULT_TMP_AGE = 3600.0
@@ -299,7 +296,7 @@ def check_queue_db(path: Path, report: FsckReport, repair: bool) -> None:
 def check_service_dir(
     root: Path, report: FsckReport, repair: bool, tmp_age: float
 ) -> None:
-    """A ``repro-serve`` data dir: queue DB + trace store + result cache."""
+    """A ``repro serve`` data dir: queue DB + trace store + result cache."""
     check_queue_db(root / "queue.sqlite", report, repair)
     traces = root / "traces"
     if traces.is_dir():
@@ -357,7 +354,7 @@ def fsck_paths(
             check_queue_db(path, report, repair)
         else:
             raise SystemExit(
-                f"repro-fsck: {path}: not a directory, .rjl journal, "
+                f"repro fsck: {path}: not a directory, .rjl journal, "
                 ".rtb trace or .sqlite queue DB"
             )
     return report
@@ -370,7 +367,7 @@ def fsck_paths(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro-fsck",
+        prog="repro fsck",
         description=(
             "Verify (and with --repair, fix) the harness's durable "
             "artifacts: cache directories, checkpoint journals, .rtb "
@@ -398,10 +395,7 @@ def main(argv: list[str] | None = None) -> int:
         help=".tmp-* residue younger than this is presumed live and "
         f"skipped (default {DEFAULT_TMP_AGE:g}; 0 sweeps everything)",
     )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default text)",
-    )
+    add_format(parser)
     args = parser.parse_args(argv)
 
     for path in args.paths:
@@ -412,27 +406,20 @@ def main(argv: list[str] | None = None) -> int:
         list(args.paths), repair=args.repair, tmp_age=args.tmp_age
     )
 
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        for finding in report.findings:
-            status = (
-                f"repaired: {finding.repair_note}" if finding.repaired
-                else ("unrepairable" if not finding.repairable
-                      else "needs --repair")
-            )
-            print(
-                f"[{finding.kind}] {finding.path}: {finding.detail} "
-                f"({status})"
-            )
-        verdict = "clean" if not report.findings else (
-            f"{len(report.findings)} finding(s), "
-            f"{sum(f.repaired for f in report.findings)} repaired"
+    lines = []
+    for finding in report.findings:
+        status = (
+            f"repaired: {finding.repair_note}" if finding.repaired
+            else ("unrepairable" if not finding.repairable
+                  else "needs --repair")
         )
-        print(f"repro-fsck: {report.checked} artifact(s) checked, {verdict}")
-
-    return EXIT_FINDINGS if report.unrepaired else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        lines.append(
+            f"[{finding.kind}] {finding.path}: {finding.detail} ({status})"
+        )
+    verdict = "clean" if not report.findings else (
+        f"{len(report.findings)} finding(s), "
+        f"{sum(f.repaired for f in report.findings)} repaired"
+    )
+    lines.append(f"repro fsck: {report.checked} artifact(s) checked, {verdict}")
+    emit(args.format, report.to_dict(), "\n".join(lines))
+    return EXIT_BROKEN if report.unrepaired else 0

@@ -8,19 +8,19 @@ violation, with minimized, replayable counterexample traces.
 
 Usage::
 
-    python -m repro.tools.modelcheck_cli --protocol ce
-    python -m repro.tools.modelcheck_cli --protocol arc --cores 2 --addrs 3
-    python -m repro.tools.modelcheck_cli --all --fail-fast
-    python -m repro.tools.modelcheck_cli --protocol mesi --format json
+    repro modelcheck --protocol ce
+    repro modelcheck --protocol arc --cores 2 --addrs 3
+    repro modelcheck --all --fail-fast
+    repro modelcheck --protocol mesi --format json
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
+from ..cli import EXIT_FINDINGS, add_format, emit
 from ..modelcheck import INVARIANTS, ModelCheckResult, check_protocol
 
 #: gate sweep order (every protocol key, tiny-AIM variant included)
@@ -52,7 +52,7 @@ def render_text(result: ModelCheckResult) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro.tools.modelcheck_cli",
+        prog="repro modelcheck",
         description="Exhaustive bounded model check of the protocol classes.",
     )
     target = parser.add_mutually_exclusive_group(required=True)
@@ -94,18 +94,15 @@ def main(argv: list[str] | None = None) -> int:
         "--fail-fast", action="store_true",
         help="stop at the first counterexample",
     )
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    add_format(parser)
     args = parser.parse_args(argv)
 
     if args.list_invariants:
-        if args.format == "json":
-            print(json.dumps(
-                [{"name": inv.name, "summary": inv.summary} for inv in INVARIANTS],
-                indent=2,
-            ))
-        else:
-            for inv in INVARIANTS:
-                print(f"{inv.name:22s} {inv.summary}")
+        emit(
+            args.format,
+            [{"name": inv.name, "summary": inv.summary} for inv in INVARIANTS],
+            "\n".join(f"{inv.name:22s} {inv.summary}" for inv in INVARIANTS),
+        )
         return 0
 
     protocols = ALL_PROTOCOLS if args.all else (args.protocol,)
@@ -132,13 +129,9 @@ def main(argv: list[str] | None = None) -> int:
             if args.fail_fast:
                 break
 
-    if args.format == "json":
-        print(json.dumps([r.to_dict() for r in results], indent=2))
-    else:
-        for result in results:
-            print(render_text(result))
-    return 3 if failed else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    emit(
+        args.format,
+        [r.to_dict() for r in results],
+        "\n".join(render_text(result) for result in results),
+    )
+    return EXIT_FINDINGS if failed else 0

@@ -1,4 +1,4 @@
-"""``repro-protover`` — the symbolic protocol verifier CLI.
+"""``repro protover`` — the symbolic protocol verifier CLI.
 
 Runs the full verification stack over the protocol sources:
 
@@ -12,25 +12,24 @@ Runs the full verification stack over the protocol sources:
    imprecision — a witness whose replay does *not* reproduce its
    defect is **unsoundness** and dominates the exit code.
 
-Exit codes follow ``repro-staticlint``: 0 = clean, 3 = findings at or
+Exit codes follow :mod:`repro.cli`: 0 = clean, 3 = findings at or
 above ``--fail-on`` (or docs drift under ``--check-docs``),
 4 = the verifier contradicted itself (unsound concretization).
 
 Examples::
 
-    repro-protover                      # full sweep, all five protocols
-    repro-protover ce ceplus --format json
-    repro-protover --mutate blind-detection   # seeded-defect drill
-    repro-protover --write-docs         # regenerate docs/PROTOCOLS.md
-    repro-protover --check-docs         # CI drift gate
+    repro protover                      # full sweep, all five protocols
+    repro protover ce ceplus --format json
+    repro protover --mutate blind-detection   # seeded-defect drill
+    repro protover --write-docs         # regenerate docs/PROTOCOLS.md
+    repro protover --check-docs         # CI drift gate
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 
+from ..cli import EXIT_BROKEN, EXIT_FINDINGS, add_format, emit
 from ..common.durable import atomic_replace_text
 from ..protover.concretize import CONCRETIZABLE, cross_validate
 from ..protover.extract import load_instrumented
@@ -39,9 +38,6 @@ from ..protover.mutations import MUTATIONS
 from ..protover.refine import check_refinements
 from ..protover.space import PROTOVER_KEYS, REPLAY_KEYS
 from ..protover.tables import docs_current, docs_path, render_tables, splice
-
-EXIT_FAIL = 3
-EXIT_UNSOUND = 4
 
 #: finding kinds, in the order text reports list them
 KINDS = (
@@ -63,41 +59,40 @@ def _render_guard(finding, loaded, limit: int = 4) -> list[str]:
     return lines
 
 
-def _render_text(results, refinements, loaded, out) -> None:
+def _render_text(results, refinements, loaded) -> str:
+    lines = []
     for result in results:
         status = "clean" if result.clean else (
             ", ".join(f"{kind}:{count}"
                       for kind, count in sorted(result.finding_counts.items()))
         )
         mutation = f" [mutant {result.mutation}]" if result.mutation else ""
-        print(
+        lines.append(
             f"{result.protocol}{mutation}: {result.states} states, "
             f"{result.steps} transitions, {result.sites} guard sites, "
-            f"{result.elapsed:.2f}s — {status}",
-            file=out,
+            f"{result.elapsed:.2f}s — {status}"
         )
         for finding in result.findings:
             invariant = f" [{finding.invariant}]" if finding.invariant else ""
-            print(
+            lines.append(
                 f"  {finding.kind}{invariant}: {finding.state_label} "
-                f"-- {finding.event_label}",
-                file=out,
+                f"-- {finding.event_label}"
             )
-            print(f"      {finding.message}", file=out)
-            for line in _render_guard(finding, loaded):
-                print(line, file=out)
+            lines.append(f"      {finding.message}")
+            lines.extend(_render_guard(finding, loaded))
             if finding.concrete is not None:
-                print(f"      concretization: {finding.concrete}", file=out)
+                lines.append(f"      concretization: {finding.concrete}")
             if finding.trace:
-                for line in finding.trace.splitlines():
-                    print(f"        {line}", file=out)
+                lines.extend(
+                    f"        {line}" for line in finding.trace.splitlines()
+                )
     for finding in refinements:
-        print(
+        lines.append(
             f"  refinement: {finding.protocol} | {finding.state_label} "
-            f"-- {finding.event_label}",
-            file=out,
+            f"-- {finding.event_label}"
         )
-        print(f"      {finding.message}", file=out)
+        lines.append(f"      {finding.message}")
+    return "\n".join(lines)
 
 
 def _as_json(results: list[SweepResult], refinements) -> dict:
@@ -121,7 +116,7 @@ def _as_json(results: list[SweepResult], refinements) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro-protover",
+        prog="repro protover",
         description="symbolic protocol verifier: extract guarded "
                     "transition tables and prove the coherence "
                     "invariants inductively",
@@ -140,8 +135,7 @@ def main(argv: list[str] | None = None) -> int:
         "--list-mutations", action="store_true",
         help="list the seeded mutation drills and exit",
     )
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
+    add_format(parser)
     parser.add_argument(
         "--fail-on", choices=("any",) + KINDS + ("never",), default="any",
         help="which finding kinds set exit code 3 (default: any)",
@@ -163,12 +157,11 @@ def main(argv: list[str] | None = None) -> int:
         help="fail (exit 3) if docs/PROTOCOLS.md is stale",
     )
     args = parser.parse_args(argv)
-    out = sys.stdout
 
     if args.list_mutations:
         for name, mutation in MUTATIONS.items():
             print(f"{name}: {mutation.summary} "
-                  f"(protocol {mutation.protocol})", file=out)
+                  f"(protocol {mutation.protocol})")
         return 0
 
     if args.mutate is not None and args.mutate not in MUTATIONS:
@@ -223,28 +216,21 @@ def main(argv: list[str] | None = None) -> int:
         if args.check_docs:
             docs_stale = not docs_current(document, generated)
             if docs_stale:
-                print(
-                    f"{path} is stale — run repro-protover --write-docs",
-                    file=out,
-                )
+                print(f"{path} is stale — run repro protover --write-docs")
         if args.write_docs:
             atomic_replace_text(path, splice(document, generated),
                                 site="protover-docs")
-            print(f"wrote {path}", file=out)
+            print(f"wrote {path}")
 
-    if args.format == "json":
-        payload = _as_json(results, refinements)
-        payload["docs_stale"] = docs_stale
-        payload["unsound"] = unsound
-        json.dump(payload, out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        _render_text(results, refinements, loaded, out)
+    payload = _as_json(results, refinements)
+    payload["docs_stale"] = docs_stale
+    payload["unsound"] = unsound
+    emit(args.format, payload, _render_text(results, refinements, loaded))
 
     if unsound:
-        return EXIT_UNSOUND
+        return EXIT_BROKEN
     if args.fail_on == "never":
-        return EXIT_FAIL if docs_stale else 0
+        return EXIT_FINDINGS if docs_stale else 0
     failing = [
         kind
         for result in results
@@ -253,8 +239,4 @@ def main(argv: list[str] | None = None) -> int:
     ]
     if refinements and args.fail_on in ("any", "refinement"):
         failing.append("refinement")
-    return EXIT_FAIL if (failing or docs_stale) else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return EXIT_FINDINGS if (failing or docs_stale) else 0

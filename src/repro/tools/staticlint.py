@@ -9,20 +9,26 @@ line classes.
 
 Usage::
 
-    python -m repro.tools.staticlint                        # all capture-*
-    python -m repro.tools.staticlint capture-racy-counter --scale 0.2 \
+    repro staticlint                        # all capture-*
+    repro staticlint capture-racy-counter --scale 0.2 \
         --fail-on must-conflict
-    python -m repro.tools.staticlint examples/capture/ --format json
-    python -m repro.tools.staticlint capture-workqueue --diff-dynamic
+    repro staticlint examples/capture/ --format json
+    repro staticlint capture-workqueue --diff-dynamic
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 from pathlib import Path
 
+from ..cli import (
+    EXIT_BROKEN,
+    EXIT_FINDINGS,
+    add_format,
+    add_target_args,
+    emit,
+    parse_params,
+)
 from ..common.errors import StaticAnalysisError
 from ..statics import (
     MAY_CONFLICT,
@@ -33,14 +39,9 @@ from ..statics import (
     build_report,
     diff_dynamic,
 )
-from .inspect import parse_params
 
 #: --fail-on thresholds, weakest to strongest verdict
 FAIL_LEVELS = ("never", "may-conflict", "must-conflict")
-
-#: exit codes: 3 = verdict at/above --fail-on, 4 = soundness violation
-EXIT_FAIL = 3
-EXIT_UNSOUND = 4
 
 
 def _workload_names() -> list[str]:
@@ -177,19 +178,11 @@ def should_fail(verdict: str, fail_on: str) -> bool:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro.tools.staticlint")
-    parser.add_argument(
-        "targets", nargs="*",
-        help="capture workload names, .py files, or directories "
+    parser = argparse.ArgumentParser(prog="repro staticlint")
+    add_target_args(
+        parser, threads=4, nargs="*",
+        target_help="capture workload names, .py files, or directories "
         "(default: every registered capture-* workload)",
-    )
-    parser.add_argument("--threads", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--scale", type=float, default=0.2)
-    parser.add_argument(
-        "--param", action="append", metavar="KEY=VALUE",
-        help="workload parameter forwarded to the analyzed function "
-        "(repeatable)",
     )
     parser.add_argument(
         "--function", default=None,
@@ -197,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         "ones that build a CaptureSession)",
     )
     parser.add_argument("--line-size", type=int, default=64)
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    add_format(parser)
     parser.add_argument(
         "--fail-on", choices=FAIL_LEVELS, default="never",
         help="exit 3 when any target's verdict is at/above this level",
@@ -212,9 +205,10 @@ def main(argv: list[str] | None = None) -> int:
     params = parse_params(args.param)
 
     reports: list[dict] = []
+    text: list[str] = []
     failed = False
     unsound = False
-    for kind, spec in _expand_targets(args.targets):
+    for kind, spec in _expand_targets(args.target):
         try:
             report = analyze_target(
                 kind,
@@ -230,8 +224,7 @@ def main(argv: list[str] | None = None) -> int:
             # directory sweeps hit helper files with no capture session;
             # report and move on rather than abort the sweep
             reports.append({"target": spec, "skipped": str(exc)})
-            if args.format == "text":
-                print(f"{spec}: skipped — {exc}")
+            text.append(f"{spec}: skipped — {exc}")
             continue
         entry = report.to_dict()
         entry["target_spec"] = spec
@@ -246,17 +239,11 @@ def main(argv: list[str] | None = None) -> int:
             entry["diff_dynamic"] = diff
             unsound = unsound or bool(diff["soundness"])
         reports.append(entry)
-        if args.format == "text":
-            print(report.render_text())
-            if "diff_dynamic" in entry and "error" not in entry["diff_dynamic"]:
-                print(render_diff(entry["diff_dynamic"]))
+        text.append(report.render_text())
+        if "diff_dynamic" in entry and "error" not in entry["diff_dynamic"]:
+            text.append(render_diff(entry["diff_dynamic"]))
 
-    if args.format == "json":
-        print(json.dumps(reports, indent=2, sort_keys=True))
+    emit(args.format, reports, "\n".join(text))
     if unsound:
-        return EXIT_UNSOUND
-    return EXIT_FAIL if failed else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        return EXIT_BROKEN
+    return EXIT_FINDINGS if failed else 0

@@ -879,7 +879,7 @@ def _tolerant_scan(path: Path, keep_events: bool):
 def scan_rtb(path: str | Path) -> SalvageReport:
     """Check an ``.rtb`` file, reporting its salvageable valid prefix.
 
-    Side-effect-free (the ``repro-fsck --check`` path).  Every chunk
+    Side-effect-free (the ``repro fsck --check`` path).  Every chunk
     payload is fully decoded — a CRC-valid chunk whose columns don't
     decode still ends the valid prefix, so a salvage rewrite can never
     carry damage forward.

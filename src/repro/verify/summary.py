@@ -3,7 +3,7 @@
 Turns a run's raw :class:`~repro.common.errors.ConflictRecord` list into
 the aggregates a developer debugging a racy program wants: per-line
 totals, kind mix, detection mechanisms, involved cores, and earliest
-detection cycle.  Used by ``python -m repro.tools.conflicts`` and the
+detection cycle.  Used by ``repro conflicts`` and the
 conflicts-detected table.
 """
 

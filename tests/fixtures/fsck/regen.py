@@ -2,7 +2,7 @@
 
 The ``cachedir/`` tree is a miniature result-cache directory with one
 deliberately planted instance of every *repairable* defect class
-``repro-fsck`` knows:
+``repro fsck`` knows:
 
 * ``checkpoint.rjl`` — two valid frames plus a torn half-frame tail
   (crash mid-append);
@@ -12,7 +12,7 @@ deliberately planted instance of every *repairable* defect class
   temp write and rename);
 * ``torn.rtb`` — a trace truncated mid-chunk (crash mid-capture).
 
-CI copies the tree aside and asserts ``repro-fsck`` finds exactly these
+CI copies the tree aside and asserts ``repro fsck`` finds exactly these
 defects (exit 4), repairs them all (exit 0), and that ``--check`` never
 modifies a byte.  Everything here is deterministic; rerun with::
 

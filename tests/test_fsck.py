@@ -1,4 +1,4 @@
-"""``repro-fsck`` against the committed corrupted golden fixtures.
+"""``repro fsck`` against the committed corrupted golden fixtures.
 
 The fixtures under tests/fixtures/fsck/cachedir plant one instance of
 every repairable defect class (torn journal tail, corrupt cache entry,
@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.common import durable
-from repro.tools.fsck import EXIT_FINDINGS, fsck_paths, main
+from repro.cli import EXIT_BROKEN
+from repro.tools.fsck import fsck_paths, main
 from repro.trace.binio import load_program_bin
 
 FIXTURES = Path(__file__).parent / "fixtures" / "fsck" / "cachedir"
@@ -41,7 +42,7 @@ def cachedir(tmp_path):
 
 class TestCommittedFixtures:
     def test_check_finds_every_defect_and_exits_4(self, cachedir, capsys):
-        assert main([str(cachedir), "--tmp-age", "0"]) == EXIT_FINDINGS
+        assert main([str(cachedir), "--tmp-age", "0"]) == EXIT_BROKEN
         out = capsys.readouterr().out
         for kind in EXPECTED_KINDS:
             assert f"[{kind}]" in out
@@ -70,7 +71,7 @@ class TestCommittedFixtures:
     def test_json_report(self, cachedir, capsys):
         assert main(
             [str(cachedir), "--tmp-age", "0", "--format", "json"]
-        ) == EXIT_FINDINGS
+        ) == EXIT_BROKEN
         payload = json.loads(capsys.readouterr().out)
         assert {f["kind"] for f in payload["findings"]} == EXPECTED_KINDS
         assert payload["clean"] is False
@@ -115,11 +116,11 @@ class TestCliEdges:
     def test_unrepairable_header_damage_still_exits_4(self, cachedir):
         (cachedir / "torn.rtb").write_bytes(b"NOPE not a trace at all")
         rc = main([str(cachedir), "--repair", "--tmp-age", "0"])
-        assert rc == EXIT_FINDINGS  # torn-trace finding stays unrepaired
+        assert rc == EXIT_BROKEN  # torn-trace finding stays unrepaired
 
 
 class TestServiceDir:
-    """fsck over a ``repro-serve`` data dir: stale leases and upload residue."""
+    """fsck over a ``repro serve`` data dir: stale leases and upload residue."""
 
     @pytest.fixture
     def service_dir(self, tmp_path):

@@ -27,7 +27,8 @@ from repro.protover.extract import load_instrumented
 from repro.protover.refine import REFINEMENT_PAIRS, check_refinements
 from repro.protover.space import REPLAY_KEYS, events_for, states_for
 from repro.protover.tables import docs_current, docs_path, render_tables
-from repro.tools.protover_cli import EXIT_FAIL, main
+from repro.cli import EXIT_FINDINGS
+from repro.tools.protover_cli import main
 
 #: state-space sizes the vocabulary is expected to enumerate; a silent
 #: shrink here would hollow out every "clean sweep" claim below
@@ -141,7 +142,7 @@ def test_cli_clean_exit_zero():
 
 def test_cli_mutant_exit_three(capsys):
     code = main(["--mutate", "skip-invalidations", "--no-concretize"])
-    assert code == EXIT_FAIL
+    assert code == EXIT_FINDINGS
     out = capsys.readouterr().out
     assert "invariant" in out and "[mutant skip-invalidations]" in out
 
@@ -160,7 +161,7 @@ def test_cli_fail_on_filters():
     assert main([
         "--mutate", "skip-invalidations", "--no-concretize",
         "--fail-on", "invariant",
-    ]) == EXIT_FAIL
+    ]) == EXIT_FINDINGS
 
 
 def test_cli_rejects_bad_arguments():
@@ -196,7 +197,7 @@ def test_committed_docs_are_current(sweeps):
     generated = render_tables([sweeps[key] for key in PROTOVER_KEYS])
     document = docs_path().read_text()
     assert docs_current(document, generated), (
-        "docs/PROTOCOLS.md is stale — run repro-protover --write-docs"
+        "docs/PROTOCOLS.md is stale — run repro protover --write-docs"
     )
 
 

@@ -9,7 +9,25 @@ from pathlib import Path
 
 import pytest
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+#: where commands are written down for users, CI and maintainers
+COMMAND_DOCS = [
+    README,
+    *sorted((ROOT / "docs").glob("*.md")),
+    ROOT / ".github" / "workflows" / "ci.yml",
+    ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+]
+
+#: the per-tool console scripts ``repro <subcommand>`` replaced;
+#: ``repro-service`` (a data directory) and ``repro-serve/<version>``
+#: (the HTTP server banner) are not commands
+RETIRED_SCRIPT = re.compile(
+    r"repro-(run|report|inspect|conflicts|analyze|heatmap|wsprofile|"
+    r"modelcheck|detlint|fsck|capture|staticlint|protover|serve|client)"
+    r"(?![-/\w])"
+)
 
 
 def python_blocks() -> list[str]:
@@ -35,11 +53,23 @@ class TestReadmeSnippets:
         assert "ProtocolKind" in out or "1.0" in out  # printed the dicts
 
     def test_mentioned_commands_exist(self):
-        """Every `python -m repro...` module the README mentions imports."""
+        """Every `python -m repro...` module the README mentions imports,
+        every `repro <word>` the docs, CI and the verify notes mention is
+        a subcommand, and none names a retired per-tool script."""
         import importlib
 
+        from repro.cli import COMMANDS
+
         text = README.read_text()
-        modules = set(re.findall(r"python -m (repro[\w.]+)", text))
+        modules = set(re.findall(r"python -m (repro[\w.]*)", text))
         assert modules
         for module in modules:
             importlib.import_module(module)
+
+        for path in COMMAND_DOCS:
+            # Python code says `from repro import ...`; commands live
+            # in shell blocks and prose
+            doc = re.sub(r"```python\n.*?```", "", path.read_text(), flags=re.DOTALL)
+            words = set(re.findall(r"(?<![\w./-])repro ([a-z][\w-]*)", doc))
+            assert words <= set(COMMANDS), (path.name, words - set(COMMANDS))
+            assert not RETIRED_SCRIPT.findall(doc), path.name

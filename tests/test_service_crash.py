@@ -9,7 +9,7 @@ SIGKILL-equivalent it at seeded kill points — queue transaction edges
 upload writes — then restart and re-drain until a run completes clean,
 asserting after every crash:
 
-* **old-or-new**: ``repro-fsck`` over the data dir finds only
+* **old-or-new**: ``repro fsck`` over the data dir finds only
   recognized crash residue (a stale ``.tmp-*`` upload, an orphaned
   RUNNING lease, a torn journal tail) — never a corrupt cache entry,
   torn trace, or unreadable queue DB;
@@ -212,7 +212,7 @@ def test_trace_uploads_survive_targeted_kills(tmp_path, fault_free_output):
 
 @pytest.mark.faultinject
 def test_fsck_repairs_a_crashed_service_dir(tmp_path):
-    """After a kill, ``repro-fsck --repair`` leaves the dir clean and a
+    """After a kill, ``repro fsck --repair`` leaves the dir clean and a
     subsequent restart drains it."""
     data_dir = tmp_path / "repair" / "data"
     # arm a hot plan so the first runs almost surely die

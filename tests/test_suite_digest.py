@@ -1,6 +1,6 @@
 """The regenerated paper suite is byte-identical to its committed digests.
 
-``perfbench/reference.json`` records the SHA-256 of ``repro-run all``
+``perfbench/reference.json`` records the SHA-256 of ``repro run all``
 stdout per preset and seed.  The quick preset runs here, in fresh
 processes with pinned hashing and no inherited engine, sanitizer or
 cache knobs, so any change to what is simulated — or to how results

@@ -7,7 +7,7 @@ from repro.common.errors import ConflictRecord
 from repro.core.api import run_program
 from repro.harness.multiseed import SeedStats, aggregate_normalized, multiseed_table
 from repro.synth import build_workload
-from repro.tools.conflicts import main as conflicts_main
+from repro.tools.view import conflicts_main
 from repro.verify.summary import kind_mix, summarize, summary_table
 
 

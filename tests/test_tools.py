@@ -1,17 +1,26 @@
-"""Tests for the CLI tools (inspect, trace_dump)."""
+"""Tests for the ``repro`` command line and its viewer subcommands."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.tools.inspect import (
+from repro.cli import COMMANDS, load_target, main as repro_main
+from repro.common.errors import ConfigError
+from repro.tools.view import (
     characteristics_table,
-    load_target,
-    main as inspect_main,
+    dump_main,
+    inspect_main,
     per_thread_table,
     region_histogram,
 )
-from repro.tools.trace_dump import main as dump_main
 from repro.synth import build_workload
 from repro.trace.io import save_program
+
+#: subprocesses import the package from this checkout
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
 
 
 class TestLoadTarget:
@@ -26,6 +35,14 @@ class TestLoadTarget:
         save_program(original, path)
         loaded = load_target(str(path), 99, 99, 99.0)  # params ignored for files
         assert loaded.num_threads == 4
+
+    def test_from_rtb(self, tmp_path):
+        original = build_workload("false-sharing", num_threads=4, seed=1, scale=0.05)
+        path = tmp_path / "wl.rtb"
+        save_program(original, path)
+        loaded = load_target(str(path), 99, 99, 99.0)
+        assert loaded.num_threads == 4
+        assert loaded.name == "false-sharing"
 
 
 class TestTables:
@@ -82,7 +99,7 @@ class TestCli:
 
 class TestConflictsCli:
     def test_racy_workload_reports(self, capsys):
-        from repro.tools.conflicts import main
+        from repro.tools.view import conflicts_main as main
 
         rc = main(["racy-writers", "--protocol", "arc", "--threads", "4",
                    "--scale", "0.05"])
@@ -92,7 +109,7 @@ class TestConflictsCli:
         assert "conflict exception(s)" in out
 
     def test_clean_workload_quiet(self, capsys):
-        from repro.tools.conflicts import main
+        from repro.tools.view import conflicts_main as main
 
         rc = main(["lock-counter", "--protocol", "ce", "--threads", "4",
                    "--scale", "0.05"])
@@ -100,7 +117,7 @@ class TestConflictsCli:
         assert "0 region" in capsys.readouterr().out
 
     def test_bad_protocol_rejected(self):
-        from repro.tools.conflicts import main
+        from repro.tools.view import conflicts_main as main
 
         with pytest.raises(SystemExit):
             main(["lock-counter", "--protocol", "nonsense"])
@@ -176,25 +193,23 @@ class TestAnalyzeCli:
 
 
 class TestParseParams:
-    from repro.tools.inspect import parse_params
+    from repro.cli import parse_params
 
     def test_coercion(self):
-        from repro.tools.inspect import parse_params
+        from repro.cli import parse_params
 
         params = parse_params(["rounds=5", "scaleish=0.5", "flag=true", "name=abc"])
         assert params == {"rounds": 5, "scaleish": 0.5, "flag": True, "name": "abc"}
 
     def test_none_is_empty(self):
-        from repro.tools.inspect import parse_params
+        from repro.cli import parse_params
 
         assert parse_params(None) == {}
 
     def test_bad_item_rejected(self):
-        from repro.tools.inspect import parse_params
+        from repro.cli import parse_params
 
-        import pytest as _pytest
-
-        with _pytest.raises(SystemExit):
+        with pytest.raises(ConfigError, match="key=value"):
             parse_params(["oops"])
 
 
@@ -203,7 +218,7 @@ class TestHeatmap:
         import numpy as np
 
         from repro.noc.topology import MeshTopology
-        from repro.tools.heatmap import render_heatmap
+        from repro.tools.view import render_heatmap
 
         topo = MeshTopology(2, 2)
         flits = np.zeros(topo.num_links)
@@ -216,7 +231,7 @@ class TestHeatmap:
         assert "shade ramp" in art
 
     def test_cli_runs(self, capsys):
-        from repro.tools.heatmap import main
+        from repro.tools.view import heatmap_main as main
 
         rc = main(
             ["lock-counter", "--protocol", "arc", "--threads", "4",
@@ -228,7 +243,7 @@ class TestHeatmap:
         assert "[ 0]" in out
 
     def test_cli_with_params(self, capsys):
-        from repro.tools.heatmap import main
+        from repro.tools.view import heatmap_main as main
 
         rc = main(
             ["false-sharing", "--protocol", "mesi", "--threads", "4",
@@ -240,7 +255,7 @@ class TestHeatmap:
 
 class TestWsProfile:
     def test_miss_rate_monotone_in_size(self):
-        from repro.tools.wsprofile import miss_rate
+        from repro.tools.view import miss_rate
 
         program = build_workload(
             "dataparallel-blackscholes", num_threads=4, seed=1, scale=0.2
@@ -250,7 +265,7 @@ class TestWsProfile:
         assert 0.0 < rates[0] <= 1.0
 
     def test_profile_table(self):
-        from repro.tools.wsprofile import profile_table
+        from repro.tools.view import profile_table
 
         program = build_workload("lock-counter", num_threads=2, seed=1, scale=0.05)
         table = profile_table(program, sizes_kb=(4, 64))
@@ -258,7 +273,7 @@ class TestWsProfile:
         assert all(0 <= r <= 1 for r in table.column("miss rate"))
 
     def test_cli(self, capsys):
-        from repro.tools.wsprofile import main
+        from repro.tools.view import wsprofile_main as main
 
         rc = main(
             ["migratory-token", "--threads", "2", "--scale", "0.05",
@@ -268,3 +283,78 @@ class TestWsProfile:
         out = capsys.readouterr().out
         assert "Working-set profile" in out
         assert "8KB" in out
+
+
+class TestCommandSurface:
+    """The ``repro`` dispatcher, driven in-process through its ``main``."""
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_help_names_the_subcommand(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            repro_main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: repro {name}")
+
+    def test_unknown_subcommand_exits_2(self, capsys):
+        assert repro_main(["no-such-subcommand"]) == 2
+        assert "unknown subcommand" in capsys.readouterr().err
+
+    def test_analyze_rtb_trace_json(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "smoke.rtb"
+        save_program(
+            build_workload("racy-writers", num_threads=4, seed=1, scale=0.05), path
+        )
+        assert repro_main(["analyze", str(path), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["target"] == "racy-writers"
+        assert report["races"]["count"] > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["conflicts", "racy-writers", "--protocol", "arc"],
+        ["heatmap", "lock-counter", "--protocol", "ce"],
+        ["analyze", "racy-writers"],
+        ["capture", "replay", "capture-histogram", "--protocol", "ce"],
+    ], ids=lambda argv: argv[0])
+    def test_non_power_of_two_threads(self, argv, capsys):
+        assert repro_main(argv + ["--threads", "6", "--scale", "0.05"]) == 0
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "no-such-workload"], "unknown workload 'no-such-workload'"),
+        (["inspect", "lock-counter", "--param", "oops"], "bad --param 'oops'"),
+        (["dump", __file__], "not a repro trace"),
+    ], ids=["unknown-workload", "malformed-param", "not-a-trace"])
+    def test_bad_input_is_one_line_exit_2(self, argv, message, capsys):
+        assert repro_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {argv[0]}: ")
+        assert message in err
+        assert err.count("\n") == 1
+
+    def test_python_dash_m_repro(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "inspect", "--list"],
+            capture_output=True, text=True, env=SRC_ENV, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "lock-counter" in proc.stdout.splitlines()
+
+    def test_experiment_runner_imports_no_tool_layer(self):
+        """``repro run`` start-up must not pay for the dispatcher, the
+        analyzers, the verifiers, the service or the capture runtime."""
+        heavy = (
+            "cli", "tools", "statics", "protover", "modelcheck", "service",
+            "capture",
+        )
+        code = (
+            "import sys, repro.harness.run\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            f"[['repro', p] for p in {heavy!r}]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=SRC_ENV, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
