@@ -18,54 +18,34 @@ Quick start::
     print(cmp.normalized_runtime())
 """
 
-from .common.config import (
-    AimConfig,
-    CacheConfig,
-    DramConfig,
-    NocConfig,
-    ProtocolKind,
-    SystemConfig,
-)
-from .common.errors import (
-    ConfigError,
-    ConflictRecord,
-    RegionConflictError,
-    ReproError,
-    SimulationError,
-    TraceError,
-)
-from .core.api import ALL_PROTOCOLS, compare_protocols, run_program
-from .core.batch import BatchSimulator, make_simulator
-from .core.results import Comparison, RunResult, geomean
-from .core.simulator import Simulator
-from .trace.builder import TraceBuilder
-from .trace.program import Program
+from .common.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALL_PROTOCOLS",
-    "AimConfig",
-    "BatchSimulator",
-    "CacheConfig",
-    "Comparison",
-    "ConfigError",
-    "ConflictRecord",
-    "DramConfig",
-    "NocConfig",
-    "Program",
-    "ProtocolKind",
-    "RegionConflictError",
-    "ReproError",
-    "RunResult",
-    "SimulationError",
-    "Simulator",
-    "SystemConfig",
-    "TraceBuilder",
-    "TraceError",
-    "compare_protocols",
-    "geomean",
-    "make_simulator",
-    "run_program",
-    "__version__",
-]
+# resolved on first use, so ``import repro.<subpackage>`` stays cheap
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".common.config": (
+        "ALL_PROTOCOLS",
+        "AimConfig",
+        "CacheConfig",
+        "DramConfig",
+        "NocConfig",
+        "ProtocolKind",
+        "SystemConfig",
+    ),
+    ".common.errors": (
+        "ConfigError",
+        "ConflictRecord",
+        "RegionConflictError",
+        "ReproError",
+        "SimulationError",
+        "TraceError",
+    ),
+    ".core.api": ("compare_protocols", "run_program"),
+    ".core.batch": ("BatchSimulator", "make_simulator"),
+    ".core.results": ("Comparison", "RunResult", "geomean"),
+    ".core.simulator": ("Simulator",),
+    ".trace.builder": ("TraceBuilder",),
+    ".trace.program": ("Program",),
+})
+__all__.append("__version__")

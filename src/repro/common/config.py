@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -46,6 +47,41 @@ class ProtocolKind(str, Enum):
     @property
     def detects_conflicts(self) -> bool:
         return self is not ProtocolKind.MESI
+
+
+#: the paper's four systems, the baseline first: what a comparison runs
+ALL_PROTOCOLS = (
+    ProtocolKind.MESI,
+    ProtocolKind.CE,
+    ProtocolKind.CEPLUS,
+    ProtocolKind.ARC,
+)
+
+#: env var selecting the simulation engine across process boundaries
+#: (harness workers are forked and rebuild their own simulators — same
+#: pattern as $REPRO_SANITIZE).  The engine is not a config field: both
+#: engines are byte-identical, so it must not reach cache keys.
+ENGINE_ENV = "REPRO_ENGINE"
+
+ENGINES = ("scalar", "batch")
+
+#: the batch engine is the default: the differential suite pins it
+#: byte-identical to scalar, so there is no accuracy trade-off
+DEFAULT_ENGINE = "batch"
+
+
+def resolve_engine(engine: str | None = None) -> str:
+    """Resolve the engine choice: explicit argument, then ``$REPRO_ENGINE``,
+    then the default."""
+    value = engine if engine is not None else os.environ.get(ENGINE_ENV)
+    if value is None or not value.strip():
+        return DEFAULT_ENGINE
+    value = value.strip().lower()
+    if value not in ENGINES:
+        raise ConfigError(
+            f"unknown engine {value!r}: expected one of {', '.join(ENGINES)}"
+        )
+    return value
 
 
 @dataclass(frozen=True)

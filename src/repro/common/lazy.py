@@ -1,0 +1,47 @@
+"""Lazy package re-exports (PEP 562).
+
+A package ``__init__`` that re-exports names from heavy submodules
+(NumPy, the simulator, the workload generators) would make every
+``import repro.<anything>`` pay for them.  Instead it declares where each
+public name lives::
+
+    __all__, __getattr__, __dir__ = lazy_exports(__name__, {
+        ".builder": ("TraceBuilder",),
+        ".program": ("Program", "ProgramStats"),
+    })
+
+and a name's module is imported the first time the name is read.  The
+value is fetched from its defining module at that moment and then kept
+in the package namespace, so later reads are plain attribute lookups and
+``repro.trace.Program is repro.trace.program.Program``.
+"""
+
+from __future__ import annotations
+
+import importlib
+import sys
+from typing import Any, Callable
+
+
+def lazy_exports(
+    package: str, exports: dict[str, tuple[str, ...]]
+) -> tuple[list[str], Callable[[str], Any], Callable[[], list[str]]]:
+    """``(__all__, __getattr__, __dir__)`` for ``package``.
+
+    ``exports`` maps a module (relative to ``package``) to the public
+    names it defines.
+    """
+    origin = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str) -> Any:
+        module = origin.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module, package), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(vars(sys.modules[package])) | set(origin))
+
+    return list(origin), __getattr__, __dir__

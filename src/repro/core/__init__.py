@@ -1,20 +1,4 @@
-"""Simulator core: machine wiring, engine, stats, results, public API."""
+"""Simulator core: machine wiring, engine, stats, results, public API.
 
-from .api import ALL_PROTOCOLS, compare_protocols, run_program
-from .machine import Machine
-from .results import Comparison, RunResult, geomean
-from .simulator import SYNC_OP_CYCLES, Simulator
-from .stats import Stats
-
-__all__ = [
-    "ALL_PROTOCOLS",
-    "Comparison",
-    "Machine",
-    "RunResult",
-    "SYNC_OP_CYCLES",
-    "Simulator",
-    "Stats",
-    "compare_protocols",
-    "geomean",
-    "run_program",
-]
+The package itself imports nothing: the harness reads results
+(``core.results``, ``core.stats``) without loading the engine."""

@@ -15,18 +15,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from ..common.config import ProtocolKind, SystemConfig
+from ..common.config import ALL_PROTOCOLS, ProtocolKind, SystemConfig
 from ..trace.program import Program
 from ..trace.validate import validate_program
 from .batch import make_simulator
 from .results import Comparison, RunResult
-
-ALL_PROTOCOLS = (
-    ProtocolKind.MESI,
-    ProtocolKind.CE,
-    ProtocolKind.CEPLUS,
-    ProtocolKind.ARC,
-)
 
 
 def run_program(

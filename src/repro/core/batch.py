@@ -54,27 +54,14 @@ docs/ENGINE.md walks through the argument and the debugging workflow.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from ..common.errors import ConfigError
+from ..common.config import resolve_engine
 from ..protocols.base import E as _E
 from ..protocols.base import M as _M
 from ..protocols.base import S as _S
 from ..trace.events import WRITE
 from .simulator import Simulator
-
-#: env var selecting the engine across process boundaries (harness
-#: workers are forked and rebuild their own simulators — same pattern
-#: as $REPRO_SANITIZE)
-ENGINE_ENV = "REPRO_ENGINE"
-
-ENGINES = ("scalar", "batch")
-
-#: the batch engine is the default: the differential suite pins it
-#: byte-identical to scalar, so there is no accuracy trade-off
-DEFAULT_ENGINE = "batch"
 
 #: classification codes (``codes[i] >= 0`` means private to that thread)
 CONTENDED = -1
@@ -101,20 +88,6 @@ _MAX_RUN = 32768
 #: period, a core whose bulk runs covered fewer than 2 events per pop
 #: stops trying the fast path (residue-dominated: cheaper pure-scalar)
 _ADAPT_PERIOD = 512
-
-
-def resolve_engine(engine: str | None = None) -> str:
-    """Resolve the engine choice: explicit argument, then ``$REPRO_ENGINE``,
-    then the default."""
-    value = engine if engine is not None else os.environ.get(ENGINE_ENV)
-    if value is None or not value.strip():
-        return DEFAULT_ENGINE
-    value = value.strip().lower()
-    if value not in ENGINES:
-        raise ConfigError(
-            f"unknown engine {value!r}: expected one of {', '.join(ENGINES)}"
-        )
-    return value
 
 
 def make_simulator(

@@ -45,10 +45,10 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..common import durable
-from ..common.config import ProtocolKind, SystemConfig
+from ..common.config import ALL_PROTOCOLS, ProtocolKind, SystemConfig
 from ..common.errors import (
     ConfigError,
     PointFailedError,
@@ -57,15 +57,14 @@ from ..common.errors import (
     WorkerCrashError,
     is_transient,
 )
-from ..core.api import ALL_PROTOCOLS
-from ..core.batch import make_simulator
 from ..core.results import Comparison, RunResult
-from ..synth.base import generate
-from ..trace.program import Program, ProgramStats
-from ..trace.validate import validate_program
+from ..trace.stats import ProgramStats
 from .checkpoint import Checkpoint
 from .faultinject import FaultPlan, apply_worker_fault, hash_draw
 from .result_cache import ResultCache, point_key, stats_key
+
+if TYPE_CHECKING:
+    from ..trace.program import Program
 
 
 def resolve_jobs(value: int | str) -> int:
@@ -108,6 +107,8 @@ class WorkloadSpec:
         return cls(name, num_threads, seed, scale, tuple(sorted(params.items())))
 
     def build(self) -> Program:
+        from ..synth.base import generate
+
         return generate(
             self.name,
             num_threads=self.num_threads,
@@ -184,6 +185,11 @@ def _simulate_point(point: SimPoint) -> tuple[RunResult, float]:
     Module-level so it pickles into worker processes.  Returns the
     result plus the wall seconds it took (for the manifest).
     """
+    # imported per call, not with this module: a run whose points all
+    # hit the cache never loads NumPy or the simulator
+    from ..core.batch import make_simulator
+    from ..trace.validate import validate_program
+
     start = time.perf_counter()
     program = point.build_program()
     validate_program(program, point.cfg.line_size)
@@ -191,6 +197,16 @@ def _simulate_point(point: SimPoint) -> tuple[RunResult, float]:
     # inherit it); results are engine-independent, so cache keys are too.
     result = make_simulator(point.cfg, program).run()
     return result, time.perf_counter() - start
+
+
+def load_simulation_stack() -> None:
+    """Import everything simulating a point needs: NumPy, the engine,
+    the protocols, trace validation and every workload generator."""
+    from ..core import batch  # noqa: F401
+    from ..synth.base import registered_workloads
+    from ..trace import validate  # noqa: F401
+
+    registered_workloads()  # imports the generator modules
 
 
 def _point_entry(
@@ -446,6 +462,10 @@ class Executor:
         )
         self.point_failures: list[PointFailure] = []
         self._corrupted: set[str] = set()
+        # without a cache, every result this executor simulated, kept for
+        # its lifetime: experiments share points, and nothing else would
+        # keep a run from simulating them twice
+        self._computed: dict[str, RunResult] = {}
         self._pool: ProcessPoolExecutor | None = None
         # snapshot the shared cache's eviction counter: this executor's
         # manifest must report only the evictions *it* witnessed, or
@@ -461,6 +481,9 @@ class Executor:
         if self._pool is None:
             import multiprocessing
 
+            # forked workers inherit the parent's modules: import the
+            # simulation stack once here rather than once per worker
+            load_simulation_stack()
             try:
                 context = multiprocessing.get_context("fork")
             except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -513,7 +536,9 @@ class Executor:
         """Run every point; the i-th result belongs to the i-th point.
 
         Cache hits are served without simulating; misses fan out across
-        the pool (or run serially for ``jobs=1``).  Reassembly is by
+        the pool (or run serially for ``jobs=1``).  Without a cache, a
+        key this executor already simulated, in this batch or an earlier
+        one, is served from memory as a hit.  Reassembly is by
         input index, so the output order never depends on worker timing.
         Under ``keep_going`` a terminally failed point's slot holds a
         :class:`PointFailure` instead of a result; otherwise the first
@@ -525,31 +550,46 @@ class Executor:
         results: list[RunResult | PointFailure | None] = [None] * len(points)
         records: list[tuple | None] = [None] * len(points)
         slots: list[_Slot] = []
+        # without a cache, a repeated key waits for its first occurrence
+        leaders: dict[str, _Slot] = {}
+        followers: list[tuple[int, _Slot]] = []
 
         try:
             for i, pt in enumerate(points):
                 key = pt.key()
                 if self._replay_checkpoint_failure(i, pt, key, results, records):
                     continue
+                start = time.perf_counter()
                 if self.cache is not None:
-                    start = time.perf_counter()
                     hit = self.cache.get(key)
-                    if hit is not None:
-                        seconds = time.perf_counter() - start
-                        results[i] = hit
-                        records[i] = (
-                            key, pt.workload_name, pt.cfg.protocol.value,
-                            "hit", seconds, 1, None,
-                        )
-                        self._journal(records[i])
-                        continue
-                slots.append(_Slot(index=i, point=pt, key=key))
+                elif key in leaders:
+                    followers.append((i, leaders[key]))
+                    continue
+                else:
+                    hit = self._computed.get(key)
+                if hit is not None:
+                    seconds = time.perf_counter() - start
+                    results[i] = hit
+                    records[i] = (
+                        key, pt.workload_name, pt.cfg.protocol.value,
+                        "hit", seconds, 1, None,
+                    )
+                    self._journal(records[i])
+                    continue
+                leaders[key] = _Slot(index=i, point=pt, key=key)
+                slots.append(leaders[key])
 
             if slots:
                 if self._use_pool(slots):
                     self._run_pooled(slots, results, records)
                 else:
                     self._run_serial(slots, results, records)
+            for i, leader in followers:
+                results[i] = results[leader.index]
+                record = records[leader.index]
+                if isinstance(results[i], RunResult):
+                    record = (*record[:3], "hit", 0.0, 1, None)
+                records[i] = record
         finally:
             # flush in submission order; on interrupt/abort only settled
             # points have records, and the manifest stays consistent
@@ -615,6 +655,7 @@ class Executor:
             self._maybe_corrupt(slot.key)
             status = "retried" if slot.attempts > 1 else "miss"
         else:
+            self._computed[slot.key] = result
             status = "retried" if slot.attempts > 1 else "computed"
         pt = slot.point
         records[slot.index] = (

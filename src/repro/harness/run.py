@@ -36,8 +36,8 @@ import sys
 import time
 from dataclasses import replace
 
+from ..common.config import ENGINE_ENV, ENGINES
 from ..common.errors import HarnessError
-from ..core.batch import ENGINE_ENV, ENGINES
 from .charts import chartable, render_bars
 from .checkpoint import CHECKPOINT_NAME, Checkpoint
 from .executor import Executor

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..common.config import SystemConfig
 from ..core.results import RunResult
-from ..trace.program import Program
 from .executor import Executor, SimPoint
 from .result_cache import ResultCache
+
+if TYPE_CHECKING:
+    from ..trace.program import Program
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,14 @@ counts while ARC does not.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..common.config import NocConfig
 from .messages import NUM_CATEGORIES
 from .topology import MeshTopology
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _RAMP_END = 1.5  # utilization at which the queue penalty is fully applied
 
@@ -123,6 +126,8 @@ class MeshNetwork:
 
     def link_utilization(self, cycle: int) -> np.ndarray:
         """Per-link utilization (flits/cycle) in ``cycle``'s window."""
+        import numpy as np  # only this view needs it; results load without
+
         window = cycle // self.cfg.window_cycles
         counts = self._window_links.get(window)
         if counts is None:

@@ -171,7 +171,6 @@ class _Conflict(ServiceError):
 
 
 def _workload_names() -> list[str]:
-    from ..synth import suite  # noqa: F401  (registration side effect)
     from ..synth.base import registered_workloads
 
     return registered_workloads()

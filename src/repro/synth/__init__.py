@@ -1,31 +1,23 @@
 """Synthetic multithreaded workloads mimicking PARSEC/SPLASH-2 sharing patterns."""
 
-from .base import generate, registered_workloads, scaled, workload
-from .patterns import AddressSpace, TraceAssembler, random_span, strided_span
-from .suite import (
-    CAPTURED_WORKLOADS,
-    EXTRA_WORKLOADS,
-    RACY_SUITE,
-    SUITE,
-    all_workload_names,
-    build_suite,
-    build_workload,
-)
+from ..common.lazy import lazy_exports
 
-__all__ = [
-    "AddressSpace",
-    "CAPTURED_WORKLOADS",
-    "EXTRA_WORKLOADS",
-    "RACY_SUITE",
-    "SUITE",
-    "TraceAssembler",
-    "all_workload_names",
-    "build_suite",
-    "build_workload",
-    "generate",
-    "random_span",
-    "registered_workloads",
-    "scaled",
-    "strided_span",
-    "workload",
-]
+# resolved on first use: naming the suite must not load the generators
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("generate", "registered_workloads", "scaled", "workload"),
+    ".patterns": (
+        "AddressSpace",
+        "TraceAssembler",
+        "random_span",
+        "strided_span",
+    ),
+    ".suite": (
+        "CAPTURED_WORKLOADS",
+        "EXTRA_WORKLOADS",
+        "RACY_SUITE",
+        "SUITE",
+        "all_workload_names",
+        "build_suite",
+        "build_workload",
+    ),
+})

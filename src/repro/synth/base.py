@@ -5,16 +5,21 @@ Program``.  ``scale`` multiplies the workload's event counts so the same
 pattern can run as a quick test (scale ~0.1) or a full benchmark
 (scale 1.0+).  Generators register themselves with :func:`workload`,
 and :func:`generate` builds by name — the suite and the experiment
-harness are built on this registry.
+harness are built on this registry.  The generator modules are imported
+on the registry's first lookup, not with this module: naming a workload
+(a cache key, the suite's name lists) loads no generator and no NumPy.
 """
 
 from __future__ import annotations
 
+import importlib
 import threading
-from typing import Any, Callable, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Protocol
 
 from ..common.errors import ConfigError
-from ..trace.program import Program
+
+if TYPE_CHECKING:
+    from ..trace.program import Program
 
 
 class Generator(Protocol):
@@ -24,6 +29,35 @@ class Generator(Protocol):
 
 
 _REGISTRY: dict[str, Generator] = {}
+
+#: the modules whose ``@workload`` decorators fill the registry
+_GENERATOR_MODULES = (
+    "alltoall",
+    "barrier_phases",
+    "captured",
+    "compute",
+    "dataparallel",
+    "false_sharing",
+    "irregular",
+    "lock_contend",
+    "migratory",
+    "producer_consumer",
+    "racy",
+    "readers_writers",
+    "reduction",
+    "task_queue",
+)
+_generators_loaded = False
+
+
+def _registry() -> dict[str, Generator]:
+    """The registry, its generator modules imported on first use."""
+    global _generators_loaded
+    if not _generators_loaded:
+        for module in _GENERATOR_MODULES:
+            importlib.import_module(f".{module}", __package__)
+        _generators_loaded = True
+    return _REGISTRY
 
 
 def workload(name: str) -> Callable[[Generator], Generator]:
@@ -40,7 +74,7 @@ def workload(name: str) -> Callable[[Generator], Generator]:
 
 def registered_workloads() -> list[str]:
     """Names of all registered generators, sorted."""
-    return sorted(_REGISTRY)
+    return sorted(_registry())
 
 
 #: the last program built and its arguments: the protocol points of one
@@ -60,7 +94,7 @@ def generate(
     the program that call built.
     """
     global _last_built
-    fn = _REGISTRY.get(name)
+    fn = _registry().get(name)
     if fn is None:
         raise ConfigError(
             f"unknown workload {name!r}; available: {registered_workloads()}"

@@ -8,25 +8,12 @@ build is deterministic in (name, num_threads, seed, scale).
 
 from __future__ import annotations
 
-# importing the generator modules populates the registry
-from . import (  # noqa: F401
-    alltoall,
-    barrier_phases,
-    captured,
-    compute,
-    dataparallel,
-    false_sharing,
-    irregular,
-    lock_contend,
-    migratory,
-    producer_consumer,
-    racy,
-    readers_writers,
-    reduction,
-    task_queue,
-)
-from ..trace.program import Program
+from typing import TYPE_CHECKING
+
 from .base import generate, registered_workloads
+
+if TYPE_CHECKING:
+    from ..trace.program import Program
 
 #: conflict-free workloads, in figure order
 SUITE: tuple[str, ...] = (

@@ -1,53 +1,36 @@
 """Trace substrate: events, builders, programs, SFR analysis, validation, IO."""
 
-from .builder import TraceBuilder
-from .events import (
-    ACQUIRE,
-    BARRIER,
-    EVENT_DTYPE,
-    KIND_NAMES,
-    READ,
-    RELEASE,
-    WRITE,
-    ThreadTrace,
-)
-from .binio import (
-    BinTraceReader,
-    BinTraceWriter,
-    StreamedProgram,
-    load_program_bin,
-    save_program_bin,
-    stream_program_bin,
-)
-from .io import load_program, save_program
-from .program import Program, ProgramStats
-from .regions import RegionSummary, region_ids, region_lengths, summarize_regions
-from .validate import validate_program, validate_trace
+from ..common.lazy import lazy_exports
 
-__all__ = [
-    "ACQUIRE",
-    "BARRIER",
-    "BinTraceReader",
-    "BinTraceWriter",
-    "EVENT_DTYPE",
-    "KIND_NAMES",
-    "Program",
-    "ProgramStats",
-    "READ",
-    "RELEASE",
-    "RegionSummary",
-    "StreamedProgram",
-    "ThreadTrace",
-    "TraceBuilder",
-    "WRITE",
-    "load_program",
-    "load_program_bin",
-    "save_program_bin",
-    "stream_program_bin",
-    "region_ids",
-    "region_lengths",
-    "save_program",
-    "summarize_regions",
-    "validate_program",
-    "validate_trace",
-]
+# resolved on first use: most of these modules import NumPy
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".builder": ("TraceBuilder",),
+    ".events": (
+        "ACQUIRE",
+        "BARRIER",
+        "EVENT_DTYPE",
+        "KIND_NAMES",
+        "READ",
+        "RELEASE",
+        "WRITE",
+        "ThreadTrace",
+    ),
+    ".binio": (
+        "BinTraceReader",
+        "BinTraceWriter",
+        "StreamedProgram",
+        "load_program_bin",
+        "save_program_bin",
+        "stream_program_bin",
+    ),
+    ".io": ("load_program", "save_program"),
+    ".program": ("Program",),
+    ".stats": ("ProgramStats",),
+    ".regions": (
+        "RegionSummary",
+        "region_ids",
+        "region_lengths",
+        "summarize_regions",
+    ),
+    ".validate": ("validate_program", "validate_trace"),
+})

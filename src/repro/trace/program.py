@@ -14,30 +14,7 @@ import numpy as np
 
 from ..common.errors import TraceError
 from .events import BARRIER, WRITE, ThreadTrace
-
-
-@dataclass
-class ProgramStats:
-    """Workload characteristics (the rows of Table II)."""
-
-    name: str
-    num_threads: int
-    num_events: int
-    num_accesses: int
-    num_writes: int
-    num_sync_ops: int
-    num_regions: int
-    mean_region_length: float
-    num_lines: int
-    shared_lines: int
-
-    @property
-    def write_fraction(self) -> float:
-        return self.num_writes / self.num_accesses if self.num_accesses else 0.0
-
-    @property
-    def shared_fraction(self) -> float:
-        return self.shared_lines / self.num_lines if self.num_lines else 0.0
+from .stats import ProgramStats
 
 
 @dataclass

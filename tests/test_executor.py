@@ -8,7 +8,11 @@ independent deterministic simulations reassembled in submission order.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings as hsettings
@@ -205,6 +209,54 @@ class TestExecutorBasics:
         assert entry.protocol == "mesi"
         assert entry.seconds >= 0
         assert len(entry.key) == 64
+
+    def test_no_cache_simulates_each_key_once(self, monkeypatch):
+        """Without a cache, a key repeated in one batch or across
+        batches (experiments share points) is simulated once."""
+        import repro.core.batch as batch
+
+        built = []
+        real = batch.make_simulator
+
+        def counting(cfg, program, *args, **kwargs):
+            built.append(cfg.protocol)
+            return real(cfg, program, *args, **kwargs)
+
+        monkeypatch.setattr(batch, "make_simulator", counting)
+        cfg = SystemConfig(num_cores=2)
+        spec = WorkloadSpec.make("lock-counter", num_threads=2, seed=1,
+                                 scale=0.05)
+        points = [
+            SimPoint(cfg.with_protocol(kind), spec)
+            for kind in (ProtocolKind.MESI, ProtocolKind.CE, ProtocolKind.MESI)
+        ]
+        ex = Executor(jobs=1)
+        first = ex.run_points(points)
+        second = ex.run_points(points[:2])
+        assert len(built) == len({p.key() for p in points}) == 2
+        assert first[2] is first[0] and second == first[:2]
+        assert [e.status for e in ex.manifest.entries] == [
+            "computed", "computed", "hit", "hit", "hit"
+        ]
+
+    def test_pool_forks_after_loading_the_simulation_stack(self):
+        """Forked workers inherit the simulator instead of each
+        importing NumPy and the protocols themselves."""
+        code = (
+            "import sys\n"
+            "from repro.harness.executor import Executor\n"
+            "ex = Executor(jobs=2)\n"
+            "print('repro.core.batch' in sys.modules)\n"
+            "ex._ensure_pool()\n"
+            "print('repro.core.batch' in sys.modules)\n"
+            "ex.close()\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, check=True,
+        )
+        assert proc.stdout.split() == ["False", "True"]
 
     def test_spec_build_matches_build_workload(self):
         spec = WorkloadSpec.make("pipeline-ferret", num_threads=4, seed=2,

@@ -636,7 +636,7 @@ class TestEngineChaos:
         the engine choice rides on $REPRO_ENGINE into the forked workers,
         and neither the fault injection nor the resubmission path may
         perturb what the batch engine computes."""
-        from repro.core.batch import ENGINE_ENV
+        from repro.common.config import ENGINE_ENV
         from repro.verify.diffengine import render_result
 
         pts = points(4)

@@ -341,20 +341,37 @@ class TestCommandSurface:
         assert proc.returncode == 0, proc.stderr
         assert "lock-counter" in proc.stdout.splitlines()
 
-    def test_experiment_runner_imports_no_tool_layer(self):
+    def test_experiment_runner_imports_no_tool_layer(self, tmp_path):
         """``repro run`` start-up must not pay for the dispatcher, the
-        analyzers, the verifiers, the service or the capture runtime."""
+        analyzers, the verifiers, the service or the capture runtime,
+        and a run whose points all hit the cache must not load NumPy or
+        the simulation stack either."""
         heavy = (
-            "cli", "tools", "statics", "protover", "modelcheck", "service",
-            "capture",
+            "repro.cli", "repro.tools", "repro.statics", "repro.protover",
+            "repro.modelcheck", "repro.service", "repro.capture", "numpy",
+            "repro.core.batch", "repro.core.simulator", "repro.protocols",
+            "repro.trace.builder", "repro.synth.patterns",
         )
-        code = (
-            "import sys, repro.harness.run\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-            f"[['repro', p] for p in {heavy!r}]))"
+        report = (
+            "import sys\n"
+            "print(sorted(m for m in sys.modules for h in "
+            f"{heavy!r} if m == h or m.startswith(h + '.')))"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env=SRC_ENV, check=True,
+            [sys.executable, "-c", "import repro.harness.run\n" + report],
+            capture_output=True, text=True, env=SRC_ENV, check=True,
         )
         assert proc.stdout.strip() == "[]"
+
+        argv = ["all", "--preset", "quick", "--cache-dir", str(tmp_path)]
+        subprocess.run(
+            [sys.executable, "-m", "repro.harness.run", *argv],
+            capture_output=True, env=SRC_ENV, check=True,
+        )
+        warm = subprocess.run(
+            [sys.executable, "-c",
+             f"from repro.harness.run import main\nmain({argv!r})\n" + report],
+            capture_output=True, text=True, env=SRC_ENV, check=True,
+        )
+        assert " misses=0 " in warm.stderr
+        assert warm.stdout.splitlines()[-1] == "[]"
