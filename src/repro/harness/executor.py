@@ -66,6 +66,10 @@ from .result_cache import ResultCache, point_key, stats_key
 if TYPE_CHECKING:
     from ..trace.program import Program
 
+#: results a cache-less executor keeps in memory (a ``--no-cache``
+#: ``--preset bench`` run simulates 166 distinct points)
+_MEMO_LIMIT = 256
+
 
 def resolve_jobs(value: int | str) -> int:
     """Resolve a ``--jobs`` value: a positive int, or ``"auto"``.
@@ -462,9 +466,9 @@ class Executor:
         )
         self.point_failures: list[PointFailure] = []
         self._corrupted: set[str] = set()
-        # without a cache, every result this executor simulated, kept for
-        # its lifetime: experiments share points, and nothing else would
-        # keep a run from simulating them twice
+        # without a cache, the results this executor simulated: ablation
+        # and sensitivity experiments re-run points of the main figures,
+        # and nothing else would keep a run from simulating them twice
         self._computed: dict[str, RunResult] = {}
         self._pool: ProcessPoolExecutor | None = None
         # snapshot the shared cache's eviction counter: this executor's
@@ -537,8 +541,8 @@ class Executor:
 
         Cache hits are served without simulating; misses fan out across
         the pool (or run serially for ``jobs=1``).  Without a cache, a
-        key this executor already simulated, in this batch or an earlier
-        one, is served from memory as a hit.  Reassembly is by
+        key an earlier batch simulated is served from memory as a hit
+        (the newest ``_MEMO_LIMIT`` results are kept).  Reassembly is by
         input index, so the output order never depends on worker timing.
         Under ``keep_going`` a terminally failed point's slot holds a
         :class:`PointFailure` instead of a result; otherwise the first
@@ -550,9 +554,6 @@ class Executor:
         results: list[RunResult | PointFailure | None] = [None] * len(points)
         records: list[tuple | None] = [None] * len(points)
         slots: list[_Slot] = []
-        # without a cache, a repeated key waits for its first occurrence
-        leaders: dict[str, _Slot] = {}
-        followers: list[tuple[int, _Slot]] = []
 
         try:
             for i, pt in enumerate(points):
@@ -562,9 +563,6 @@ class Executor:
                 start = time.perf_counter()
                 if self.cache is not None:
                     hit = self.cache.get(key)
-                elif key in leaders:
-                    followers.append((i, leaders[key]))
-                    continue
                 else:
                     hit = self._computed.get(key)
                 if hit is not None:
@@ -576,20 +574,13 @@ class Executor:
                     )
                     self._journal(records[i])
                     continue
-                leaders[key] = _Slot(index=i, point=pt, key=key)
-                slots.append(leaders[key])
+                slots.append(_Slot(index=i, point=pt, key=key))
 
             if slots:
                 if self._use_pool(slots):
                     self._run_pooled(slots, results, records)
                 else:
                     self._run_serial(slots, results, records)
-            for i, leader in followers:
-                results[i] = results[leader.index]
-                record = records[leader.index]
-                if isinstance(results[i], RunResult):
-                    record = (*record[:3], "hit", 0.0, 1, None)
-                records[i] = record
         finally:
             # flush in submission order; on interrupt/abort only settled
             # points have records, and the manifest stays consistent
@@ -655,6 +646,8 @@ class Executor:
             self._maybe_corrupt(slot.key)
             status = "retried" if slot.attempts > 1 else "miss"
         else:
+            if len(self._computed) >= _MEMO_LIMIT:
+                del self._computed[next(iter(self._computed))]  # oldest
             self._computed[slot.key] = result
             status = "retried" if slot.attempts > 1 else "computed"
         pt = slot.point

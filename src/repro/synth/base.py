@@ -47,16 +47,13 @@ _GENERATOR_MODULES = (
     "reduction",
     "task_queue",
 )
-_generators_loaded = False
 
 
 def _registry() -> dict[str, Generator]:
-    """The registry, its generator modules imported on first use."""
-    global _generators_loaded
-    if not _generators_loaded:
-        for module in _GENERATOR_MODULES:
-            importlib.import_module(f".{module}", __package__)
-        _generators_loaded = True
+    """The registry, its generator modules imported on first use (later
+    calls find them in ``sys.modules``)."""
+    for module in _GENERATOR_MODULES:
+        importlib.import_module(f".{module}", __package__)
     return _REGISTRY
 
 

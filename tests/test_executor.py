@@ -211,8 +211,8 @@ class TestExecutorBasics:
         assert len(entry.key) == 64
 
     def test_no_cache_simulates_each_key_once(self, monkeypatch):
-        """Without a cache, a key repeated in one batch or across
-        batches (experiments share points) is simulated once."""
+        """Without a cache, a key an earlier batch simulated (experiments
+        share points) is served from memory, not simulated again."""
         import repro.core.batch as batch
 
         built = []
@@ -226,17 +226,35 @@ class TestExecutorBasics:
         cfg = SystemConfig(num_cores=2)
         spec = WorkloadSpec.make("lock-counter", num_threads=2, seed=1,
                                  scale=0.05)
-        points = [
+        mesi, ce = (
             SimPoint(cfg.with_protocol(kind), spec)
-            for kind in (ProtocolKind.MESI, ProtocolKind.CE, ProtocolKind.MESI)
-        ]
+            for kind in (ProtocolKind.MESI, ProtocolKind.CE)
+        )
         ex = Executor(jobs=1)
-        first = ex.run_points(points)
-        second = ex.run_points(points[:2])
-        assert len(built) == len({p.key() for p in points}) == 2
-        assert first[2] is first[0] and second == first[:2]
+        first = ex.run_points([mesi])
+        second = ex.run_points([ce, mesi])
+        assert len(built) == len({mesi.key(), ce.key()}) == 2
+        assert second[1] is first[0]
         assert [e.status for e in ex.manifest.entries] == [
-            "computed", "computed", "hit", "hit", "hit"
+            "computed", "computed", "hit"
+        ]
+
+    def test_no_cache_memo_is_bounded(self, monkeypatch):
+        """A long-lived cache-less executor keeps only the newest
+        results, so its memory does not grow with every point."""
+        monkeypatch.setattr("repro.harness.executor._MEMO_LIMIT", 1)
+        cfg = SystemConfig(num_cores=2)
+        spec = WorkloadSpec.make("lock-counter", num_threads=2, seed=1,
+                                 scale=0.05)
+        mesi, ce = (
+            SimPoint(cfg.with_protocol(kind), spec)
+            for kind in (ProtocolKind.MESI, ProtocolKind.CE)
+        )
+        ex = Executor(jobs=1)
+        ex.run_points([mesi, ce])
+        ex.run_points([ce, mesi])
+        assert [e.status for e in ex.manifest.entries] == [
+            "computed", "computed", "hit", "computed"
         ]
 
     def test_pool_forks_after_loading_the_simulation_stack(self):
