@@ -3,7 +3,7 @@
 Two gates, budgets committed in ``BENCH_crashsafe.json``:
 
 * **fsync overhead** — a warm, fully-cached sweep (all hits; the
-  durable writes are the journal appends and the manifest replace) run
+  durable writes are the journal appends and the manifest merge) run
   with the fsync discipline on must cost less than ``floor`` times the
   same sweep with ``$REPRO_NO_FSYNC`` set (default 1.3x).  Durability
   is supposed to be metadata-cheap; this catches an accidental
@@ -71,7 +71,7 @@ def _warm_sweep_seconds(root: Path, repeats: int = 5) -> float:
         start = time.perf_counter()
         with Executor(jobs=1, cache=cache, checkpoint=checkpoint) as ex:
             ex.run_points(points)
-        ex.manifest.write(root / "manifest.json")
+        ex.manifest.write_merged(root / "manifest.json")
         best = min(best, time.perf_counter() - start)
         assert cache.stats.hits == len(points), "sweep must be fully warm"
     return best

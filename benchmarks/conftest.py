@@ -1,23 +1,14 @@
 """Shared infrastructure for the benchmark harness.
 
-Every ``bench_*.py`` module regenerates one of the paper's tables or
-figures (see DESIGN.md's experiment index).  Benchmarks run the
-experiment once through pytest-benchmark's pedantic mode (simulations
-are deterministic — repetition adds nothing) at the ``bench`` preset,
-print the regenerated table, and assert the result *shape* the paper
-reports.
-
-Run paper-scale versions with ``python -m repro.harness.run <exp-id>``.
+``bench_paper.py`` regenerates the paper's tables and figures and checks
+their claims; each other ``bench_*.py`` module measures one subsystem,
+several against a budget committed in ``BENCH_<stem>.json``.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-
-import pytest
-
-from repro.harness import Settings, run_experiment
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,24 +35,3 @@ def committed_floor(stem: str, default: float) -> float:
     if path.exists():
         return float(json.loads(path.read_text()).get("floor", default))
     return default
-
-
-@pytest.fixture(scope="session")
-def bench_settings() -> Settings:
-    return Settings.bench()
-
-
-@pytest.fixture
-def run_exp(benchmark, bench_settings):
-    """Run one experiment under pytest-benchmark and print its tables."""
-
-    def runner(exp_id: str):
-        tables = benchmark.pedantic(
-            run_experiment, args=(exp_id, bench_settings), rounds=1, iterations=1
-        )
-        for table in tables:
-            print()
-            print(table.render())
-        return tables
-
-    return runner

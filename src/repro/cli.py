@@ -38,8 +38,6 @@ EXIT_BROKEN = 4
 COMMANDS: dict[str, tuple[str, str]] = {
     "run": ("repro.harness.run:main",
             "regenerate the paper's tables and figures"),
-    "report": ("repro.harness.report:main",
-               "write the Markdown experiment report"),
     "serve": ("repro.service.server:main",
               "serve the conflict-analysis API over HTTP"),
     "client": ("repro.service.client:main",

@@ -1,6 +1,7 @@
 """Experiment harness: registry of paper tables/figures, sweeps, rendering,
 parallel fault-tolerant execution and the on-disk result cache."""
 
+from ..common.lazy import lazy_exports
 from .charts import chartable, render_bars
 from .checkpoint import CHECKPOINT_NAME, Checkpoint
 from .executor import (
@@ -23,9 +24,14 @@ from .experiments import (
 from .faultinject import FaultPlan, KillPlan, hash_draw
 from .multiseed import SeedStats, aggregate_normalized, multiseed_table
 from .result_cache import ResultCache, default_cache_dir, point_key
-from .shapes import ShapeCheck, run_checks
 from .sweep import SweepPoint, series, sweep
 from .tables import TextTable
+
+# the claim catalogue loads on first use: ``repro run`` needs it only
+# under --report
+_, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".shapes": ("ShapeCheck", "run_checks"),
+})
 
 __all__ = [
     "CHECKPOINT_NAME",

@@ -332,13 +332,6 @@ class Manifest:
             "seconds": round(sum(e.get("seconds", 0.0) for e in entries), 6),
         }
 
-    def write(self, path: str | Path) -> Path:
-        import json
-
-        return durable.atomic_replace_text(
-            path, json.dumps(self.to_dict(), indent=2) + "\n", site="manifest"
-        )
-
     def write_merged(self, path: str | Path) -> Path:
         """Publish this run's manifest, merging in a prior one at ``path``.
 

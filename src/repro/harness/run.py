@@ -6,6 +6,7 @@ Usage::
     repro run fig_perf_16
     repro run all --preset bench
     repro run all --preset quick --jobs 4
+    repro run all --preset full --report EXPERIMENTS_RAW.md
     repro run fig_aim_sensitivity --threads 16 --scale 1.0
 
 (``python -m repro.harness.run`` is the same command.)
@@ -19,6 +20,10 @@ invocations skip identical simulations; ``--no-cache`` disables it.
 Every invocation writes ``manifest.json`` into the cache directory,
 recording each point's key, timing and per-point status.  Timings go to
 stderr so stdout stays a stable, diffable artifact.
+
+``--report PATH`` also writes the tables and every claim's verdict
+(:mod:`repro.harness.shapes`) as Markdown, and exits 3 when a claim
+fails or cannot be checked; stdout stays the same.
 
 Fault tolerance (see docs/RESILIENCE.md): ``--point-timeout`` bounds
 each point's wall clock, ``--retries`` absorbs transient worker
@@ -235,6 +240,11 @@ def main(argv: list[str] | None = None) -> int:
         "instead of running",
     )
     parser.add_argument(
+        "--report", default=None, metavar="PATH",
+        help="also write the Markdown report (tables plus claim verdicts) "
+        "to PATH; exit 3 when any claim fails",
+    )
+    parser.add_argument(
         "--engine", choices=list(ENGINES), default=None,
         help="simulation engine: 'batch' (default) bulk-applies "
         "uncontended L1 hit runs, 'scalar' dispatches every event "
@@ -274,6 +284,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.resume and args.no_cache:
         parser.error("--resume needs the cache (its checkpoint journal)")
     targets = list(REGISTRY) if args.experiment == "all" else [args.experiment]
+    report = None
+    if args.report:
+        # imported here: only a report run pays for the claim catalogue
+        from .report import Report
+
+        report = Report(settings)
     executor = _build_executor(args)
     set_executor(executor)
     try:
@@ -288,12 +304,16 @@ def main(argv: list[str] | None = None) -> int:
                 # points degrades to an explicit partial-failure marker
                 elapsed = time.perf_counter() - start
                 print(f"[{exp_id}: {elapsed:.1f}s, PARTIAL]", file=sys.stderr)
+                if report is not None:
+                    report.add(exp_id, None, elapsed)
                 print(f"\n### {exp_id} ({REGISTRY[exp_id].paper_artifact})\n")
                 print("[not rendered: failed simulation points "
                       "(--keep-going); see stderr and manifest]\n")
                 continue
             elapsed = time.perf_counter() - start
             print(f"[{exp_id}: {elapsed:.1f}s]", file=sys.stderr)
+            if report is not None:
+                report.add(exp_id, tables, elapsed)
             print(f"\n### {exp_id} ({REGISTRY[exp_id].paper_artifact})\n")
             for table in tables:
                 if args.chart and chartable(table):
@@ -336,6 +356,14 @@ def main(argv: list[str] | None = None) -> int:
             f"{failure.message}]",
             file=sys.stderr,
         )
+    if report is not None:
+        path = report.write(args.report)
+        print(f"[report: {path}: {report.passed}/{len(report.checks)} claims "
+              "hold]", file=sys.stderr)
+        if report.passed < len(report.checks):
+            from ..cli import EXIT_FINDINGS
+
+            return EXIT_FINDINGS
     return 0
 
 

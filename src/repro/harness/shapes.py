@@ -1,334 +1,382 @@
-"""Expected-shape checks for every experiment.
+"""The paper's claims: one catalogue of expected-shape checks.
 
 The reproduction's contract is not to match the paper's absolute
 numbers (our substrate is a different simulator) but to reproduce the
 *shape* of each result — who wins, in which direction, where the costs
-come from.  Each function takes an experiment's tables and returns
-:class:`ShapeCheck` verdicts; the report generator prints them and the
-benchmarks assert the same inequalities.
+come from.  Each checker takes an experiment's tables and the settings
+they ran at and returns one :class:`ShapeCheck` per claim, built by
+:func:`claim` from ``(what, measured, relation, threshold)`` terms.
+``repro run --report`` prints the verdicts and
+``benchmarks/bench_paper.py`` asserts them; nothing else restates them.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from .tables import TextTable
+from .tables import TextTable, _fmt
+
+if TYPE_CHECKING:
+    from .experiments import Settings
+
+_RELATIONS = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq,
+}
 
 
 @dataclass(frozen=True)
 class ShapeCheck:
+    """One claim's verdict.
+
+    ``margin`` is the claim's distance from flipping: the minimum over
+    its terms of the signed gap from measured value to threshold,
+    relative to ``|threshold|`` (absolute when the threshold is 0).  A
+    holding equality has no gap, so a claim made only of holding
+    equalities has margin ``None`` (``exact``).
+    """
+
     claim: str
     passed: bool
+    margin: float | None
     detail: str
 
 
-def _check(claim: str, passed: bool, detail: str) -> ShapeCheck:
-    return ShapeCheck(claim=claim, passed=bool(passed), detail=detail)
+def _gap(measured: float, relation: str, threshold: float) -> float | None:
+    """Signed distance from flipping; None for a holding equality."""
+    if relation == "==":
+        if measured == threshold:
+            return None
+        gap = -abs(measured - threshold)
+    else:
+        gap = measured - threshold if relation[0] == ">" else threshold - measured
+    return gap / abs(threshold) if threshold else gap
 
 
-CHECKERS: dict[str, Callable[[list[TextTable]], list[ShapeCheck]]] = {}
+def claim(text: str, *terms: tuple[str, float, str, float]) -> ShapeCheck:
+    """Judge a claim: every ``(what, measured, relation, threshold)``
+    term must hold.  The detail names the binding term (the worst
+    failure, else the tightest) and the claim's margin."""
+
+    def rank(term):
+        _, measured, rel, limit = term
+        gap = _gap(measured, rel, limit)
+        return _RELATIONS[rel](measured, limit), math.inf if gap is None else gap
+
+    what, measured, rel, limit = min(terms, key=rank)
+    held = _RELATIONS[rel](measured, limit)
+    margin = _gap(measured, rel, limit)
+    if margin is None:
+        detail = "exact"
+    elif limit:
+        detail = f"margin {margin:+.1%}"
+    else:
+        detail = f"margin {'+' if margin >= 0 else '-'}{_fmt(abs(margin))} (absolute)"
+    if len(terms) > 1:
+        detail += f"; {'tightest' if held else 'worst'} of {len(terms)}"
+    detail += f"; {what}: {_fmt(measured)} {rel} {_fmt(limit)}"
+    return ShapeCheck(text, bool(held), margin, detail)
+
+
+Checker = Callable[[list[TextTable], "Settings"], Iterator[ShapeCheck]]
+CHECKERS: dict[str, Checker] = {}
 
 
 def checker(exp_id: str):
-    def register(fn):
+    def register(fn: Checker) -> Checker:
         CHECKERS[exp_id] = fn
         return fn
 
     return register
 
 
-def run_checks(exp_id: str, tables: list[TextTable]) -> list[ShapeCheck]:
+def run_checks(
+    exp_id: str, tables: list[TextTable], settings: Settings
+) -> list[ShapeCheck]:
     """Run the shape checks for one experiment (empty if none defined)."""
     fn = CHECKERS.get(exp_id)
-    return fn(tables) if fn else []
+    return list(fn(tables, settings)) if fn else []
+
+
+def _variants(table: TextTable) -> tuple[dict[tuple, list], list[str]]:
+    """An ablation table as ``(workload, variant) -> row``, plus its
+    workloads in order."""
+    rows = {(row[0], row[1]): row for row in table.rows}
+    return rows, list(dict.fromkeys(row[0] for row in table.rows))
+
+
+@checker("table1_system_config")
+def _config(tables, settings):
+    names = tables[0].column("component")
+    yield claim("Table I lists every simulated component", *(
+        (f"rows named {name!r}", names.count(name), "==", 1) for name in (
+            "Cores", "L1 (private, per core)", "LLC (shared)",
+            "AIM (CE+ metadata cache)", "Interconnect", "Main memory")))
+
+
+@checker("table2_workloads")
+def _workloads(tables, settings):
+    table = tables[0]
+    shared = table.column("shared %")
+    yield claim("the suite is 8 conflict-free plus 2 racy workloads",
+                ("workloads", len(table.rows), "==", 10))
+    yield claim("every workload makes accesses and runs regions",
+                ("fewest accesses", min(table.column("accesses")), ">", 0),
+                ("fewest regions", min(table.column("regions")), ">", 0))
+    yield claim("sharing spans near-private (<5%) to heavily shared (>30%)",
+                ("least shared %", min(shared), "<", 5.0),
+                ("most shared %", max(shared), ">", 30.0))
 
 
 @checker("table_storage")
-def _storage(tables):
+def _storage(tables, settings):
     rows = tables[0].row_dict("system")
-    return [
-        _check(
-            "storage ordering: MESI = 0 < CE < CE+; ARC's L1 bits exceed CE's",
-            rows["MESI"]["per-core total"] == 0
-            and 0 < rows["CE"]["per-core total"] < rows["CE+"]["per-core total"]
-            and rows["ARC"]["L1 access bits"] > rows["CE"]["L1 access bits"],
-            f"CE {rows['CE']['per-core total']:.1f}KB, "
-            f"CE+ {rows['CE+']['per-core total']:.1f}KB, "
-            f"ARC {rows['ARC']['per-core total']:.1f}KB per core",
-        )
-    ]
+    kb = {name: row["per-core total"] for name, row in rows.items()}
+    yield claim(
+        "storage ordering: MESI = 0 < CE < CE+; ARC's L1 bits exceed CE's",
+        ("MESI KB per core", kb["MESI"], "==", 0),
+        ("CE KB per core", kb["CE"], ">", 0),
+        ("CE+ vs CE KB per core", kb["CE+"], ">", kb["CE"]),
+        ("ARC vs CE L1 access bits", rows["ARC"]["L1 access bits"], ">",
+         rows["CE"]["L1 access bits"]),
+    )
 
 
 @checker("fig_perf_16")
-def _perf(tables):
-    geomean = tables[0].row_dict("workload")["geomean"]
-    return [
-        _check(
-            "CE is never faster than CE+ overall (metadata in DRAM vs AIM)",
-            geomean["ce"] >= geomean["ce+"] - 0.02,
-            f"CE {geomean['ce']:.3f} vs CE+ {geomean['ce+']:.3f}",
-        ),
-        _check(
-            "ARC is competitive with CE+ (within 15% geomean)",
-            geomean["arc"] <= geomean["ce+"] * 1.15,
-            f"ARC {geomean['arc']:.3f} vs CE+ {geomean['ce+']:.3f}",
-        ),
-    ]
+def _perf(tables, settings):
+    g = tables[0].row_dict("workload")["geomean"]
+    yield claim("CE is never faster than CE+ overall (metadata in DRAM vs AIM)",
+                ("CE vs CE+ - 0.02", g["ce"], ">=", g["ce+"] - 0.02))
+    yield claim("ARC is competitive with CE+ (within 15% geomean)",
+                ("ARC vs 1.15 x CE+", g["arc"], "<=", g["ce+"] * 1.15))
+    yield claim("every detector's geomean runtime is within 0.3x-10x of MESI", *(
+        (f"{p} geomean", g[p], rel, limit) for p in ("ce", "ce+", "arc")
+        for rel, limit in ((">", 0.3), ("<", 10.0))))
 
 
 @checker("fig_perf_scaling")
-def _scaling(tables):
-    table = tables[0]
-    ce = table.column("ce")
-    ceplus = table.column("ce+")
-    return [
-        _check(
-            "CE's overhead does not shrink as cores grow",
-            ce[-1] >= ce[0] - 0.02,
-            f"CE {ce[0]:.3f} -> {ce[-1]:.3f}",
-        ),
-        _check(
-            "CE+ stays at or below CE at every core count",
-            all(cp <= c + 0.02 for c, cp in zip(ce, ceplus)),
-            f"CE {['%.3f' % v for v in ce]} vs CE+ {['%.3f' % v for v in ceplus]}",
-        ),
-    ]
+def _scaling(tables, settings):
+    cores, ce, cp = (tables[0].column(c) for c in ("cores", "ce", "ce+"))
+    want = settings.core_counts
+    yield claim("CE's overhead does not shrink as cores grow",
+                ("CE at most vs fewest cores - 0.02", ce[-1], ">=", ce[0] - 0.02))
+    yield claim("CE+ stays at or below CE at every core count", *(
+        (f"CE+ vs CE + 0.02 @{n} cores", b, "<=", a + 0.02)
+        for n, a, b in zip(cores, ce, cp)))
+    yield claim("one row per configured core count, in order",
+                ("rows", len(cores), "==", len(want)), *(
+                    (f"row {i} cores", n, "==", w)
+                    for i, (n, w) in enumerate(zip(cores, want))))
 
 
 @checker("fig_energy")
-def _energy(tables):
-    geomean = tables[0].row_dict("workload")["geomean"]
-    return [
-        _check(
-            "CE's energy is not below CE+'s (off-chip metadata is costly)",
-            geomean["ce"] >= geomean["ce+"] - 0.03,
-            f"CE {geomean['ce']:.3f} vs CE+ {geomean['ce+']:.3f}",
-        )
-    ]
+def _energy(tables, settings):
+    totals, breakdown = tables
+    g = totals.row_dict("workload")["geomean"]
+    yield claim("CE's energy is not below CE+'s (off-chip metadata is costly)",
+                ("CE vs CE+ - 0.03", g["ce"], ">=", g["ce+"] - 0.03))
+    yield claim("each protocol's component shares sum to its total (within 5%)", *(
+        (f"{proto} component sum", sum(parts), rel, total * factor)
+        for proto, *parts, total in breakdown.rows
+        for rel, factor in ((">=", 0.95), ("<=", 1.05))))
 
 
 @checker("fig_onchip_traffic")
-def _onchip(tables):
+def _onchip(tables, settings):
     rows = tables[0].row_dict("workload")
-    geomean = rows["geomean"]
-    migratory = rows.get("migratory-token", geomean)
-    return [
-        _check(
-            "CE/CE+ never send fewer flit-hops than MESI",
-            geomean["ce"] >= 0.999 and geomean["ce+"] >= 0.999,
-            f"CE {geomean['ce']:.3f}, CE+ {geomean['ce+']:.3f}",
-        ),
-        _check(
-            "ARC does not exceed CE+ on migratory write sharing",
-            migratory["arc"] <= migratory["ce+"] + 0.05,
-            f"ARC {migratory['arc']:.3f} vs CE+ {migratory['ce+']:.3f}",
-        ),
-    ]
+    g, migratory = rows["geomean"], rows["migratory-token"]
+    yield claim("CE/CE+ never send fewer flit-hops than MESI",
+                ("CE geomean", g["ce"], ">=", 0.999),
+                ("CE+ geomean", g["ce+"], ">=", 0.999))
+    yield claim("ARC does not exceed CE+ on migratory write sharing",
+                ("ARC vs CE+ + 0.05", migratory["arc"], "<=", migratory["ce+"] + 0.05))
 
 
 @checker("fig_traffic_breakdown")
-def _breakdown(tables):
+def _breakdown(tables, settings):
     rows = tables[0].row_dict("protocol")
-    return [
-        _check(
-            "ARC sends no invalidation traffic",
-            rows["arc"]["inv"] == 0.0,
-            f"ARC inv share {rows['arc']['inv']:.4f}",
-        ),
-        _check(
-            "data messages dominate every protocol's traffic",
-            all(
-                rows[p]["data"]
-                == max(v for k, v in rows[p].items() if k not in ("protocol", "total"))
-                for p in ("mesi", "ce", "ce+", "arc")
-            ),
-            "",
-        ),
-        _check(
-            "only conflict detectors send metadata traffic",
-            rows["mesi"]["meta"] == 0.0,
-            "",
-        ),
-    ]
+    skip = ("protocol", "total", "data")
+    yield claim("ARC sends no invalidation traffic",
+                ("ARC inv share", rows["arc"]["inv"], "==", 0.0))
+    yield claim("data messages dominate every protocol's traffic", *(
+        (f"{p} data vs largest other category", rows[p]["data"], ">=",
+         max(v for k, v in rows[p].items() if k not in skip))
+        for p in ("mesi", "ce", "ce+", "arc")))
+    yield claim("only conflict detectors send metadata traffic",
+                ("MESI meta share", rows["mesi"]["meta"], "==", 0.0))
+    yield claim("MESI sends the invalidation traffic ARC avoids",
+                ("MESI inv share", rows["mesi"]["inv"], ">", 0.0))
 
 
 @checker("fig_offchip_traffic")
-def _offchip(tables):
+def _offchip(tables, settings):
     totals, metadata = tables
-    geomean = totals.row_dict("workload")["geomean"]
-    return [
-        _check(
-            "CE moves the most bytes off-chip",
-            geomean["ce"] >= geomean["ce+"] - 1e-9
-            and geomean["ce"] >= geomean["arc"] - 1e-9,
-            f"CE {geomean['ce']:.3f}, CE+ {geomean['ce+']:.3f}, ARC {geomean['arc']:.3f}",
-        ),
-        _check(
-            "ARC moves zero metadata off-chip",
-            all(v == 0 for v in metadata.column("arc")),
-            f"ARC metadata bytes: {metadata.column('arc')}",
-        ),
-    ]
+    g = totals.row_dict("workload")["geomean"]
+    meta = list(zip(*(metadata.column(c) for c in ("workload", "ce", "ce+", "arc"))))
+    yield claim("CE moves the most bytes off-chip",
+                ("CE vs CE+", g["ce"], ">=", g["ce+"]),
+                ("CE vs ARC", g["ce"], ">=", g["arc"]))
+    yield claim("ARC moves zero metadata off-chip", *(
+        (f"{w} ARC metadata bytes", arc, "==", 0) for w, _, _, arc in meta))
+    yield claim("CE moves at least CE+'s metadata off-chip on every workload", *(
+        (f"{w} CE vs CE+ metadata bytes", ce, ">=", cp)
+        for w, ce, cp, _ in meta))
 
 
 @checker("fig_aim_sensitivity")
-def _aim(tables):
+def _aim(tables, settings):
     table = tables[0]
-    meta = table.column("offchip metadata bytes")
-    return [
-        _check(
-            "plain CE is the off-chip metadata ceiling",
-            meta[0] == max(meta),
-            f"CE {meta[0]:,} vs max CE+ {max(meta[1:]):,}",
-        ),
-        _check(
-            "growing the AIM never increases off-chip metadata",
-            all(a >= b for a, b in zip(meta[1:], meta[2:])),
-            f"{meta[1:]}",
-        ),
-    ]
+    sizes, meta, runtime = (table.column(c) for c in (
+        "aim size", "offchip metadata bytes", "runtime vs MESI"))
+    steps = list(zip(sizes[1:], sizes[2:]))
+    yield claim("plain CE is the off-chip metadata ceiling",
+                ("first row is plain CE", int(sizes[0] == "CE (no AIM)"), "==", 1),
+                ("CE vs largest CE+ metadata bytes", meta[0], ">=", max(meta[1:])))
+    yield claim("growing the AIM never increases off-chip metadata", *(
+        (f"{big} vs {small} metadata bytes", b, "<=", a)
+        for (small, big), a, b in zip(steps, meta[1:], meta[2:])))
+    yield claim("growing the AIM never costs more than 0.05 runtime", *(
+        (f"{big} vs {small} runtime + 0.05", b, "<=", a + 0.05)
+        for (small, big), a, b in zip(steps, runtime[1:], runtime[2:])))
 
 
 @checker("fig_region_length")
-def _region_length(tables):
-    table = tables[0]
-    ce = table.column("ce")
-    return [
-        _check(
-            "CE's overhead grows with region length",
-            ce[0] >= ce[-1] - 0.02,
-            f"longest {ce[0]:.3f} vs shortest {ce[-1]:.3f}",
-        )
-    ]
+def _region_length(tables, settings):
+    phases, lengths, ce, cp = (tables[0].column(c) for c in (
+        "phases", "mean region len", "ce", "ce+"))
+    want = (1, 2, 4, 8, 16)
+    yield claim("CE's overhead grows with region length",
+                ("CE at longest vs shortest - 0.02", ce[0], ">=", ce[-1] - 0.02))
+    yield claim("CE+ stays at or below CE at every region length", *(
+        (f"CE+ vs CE + 0.02 @{n} phases", b, "<=", a + 0.02)
+        for n, a, b in zip(phases, ce, cp)))
+    yield claim("the sweep runs 1, 2, 4, 8 and 16 phases",
+                ("rows", len(phases), "==", len(want)), *(
+                    (f"row {i} phases", n, "==", w)
+                    for i, (n, w) in enumerate(zip(phases, want))))
+    yield claim("mean region length falls as phases grow", *(
+        (f"{n} vs {m} phases region length", b, "<=", a)
+        for m, n, a, b in zip(phases, phases[1:], lengths, lengths[1:])))
 
 
 @checker("table3_conflicts")
-def _conflicts(tables):
-    table = tables[0]
-    mesi_silent = all(row[2] == 0 for row in table.rows if row[1] == "mesi")
-    detectors_report = all(row[2] > 0 for row in table.rows if row[1] != "mesi")
-    return [
-        _check("MESI reports no conflicts", mesi_silent, ""),
-        _check(
-            "every detector reports conflicts on every racy workload",
-            detectors_report,
-            "",
-        ),
-    ]
+def _conflicts(tables, settings):
+    rows = tables[0].rows
+    detectors = [row for row in rows if row[1] != "mesi"]
+    yield claim("MESI reports no conflicts", *(
+        term for w, p, conflicts, _, _, vias in rows if p == "mesi"
+        for term in (
+            (f"{w} MESI conflicts", conflicts, "==", 0),
+            (f"{w} MESI detection points",
+             0 if vias == "-" else len(vias.split(",")), "==", 0))))
+    yield claim("every detector reports conflicts on every racy workload", *(
+        (f"{w} {p} conflicts", conflicts, ">", 0)
+        for w, p, conflicts, *_ in detectors))
+    yield claim("racy-readers raises no W-W conflict (one thread writes)", *(
+        (f"racy-readers {p} W-W", ww, "==", 0)
+        for w, p, _, ww, *_ in detectors if w == "racy-readers"))
+    yield claim("ARC detects without invalidations or forwards", *(
+        (f"{w} ARC inv/fwd detection points",
+         vias.count("inv") + vias.count("fwd"), "==", 0)
+        for w, p, *_, vias in detectors if p == "arc"))
 
 
 @checker("fig_network_saturation")
-def _saturation(tables):
+def _saturation(tables, settings):
     rows = tables[0].row_dict("protocol")
-    return [
-        _check(
-            "CE+ sends more on-chip traffic than MESI under write sharing",
-            rows["ce+"]["flit-hops vs MESI"] > 1.0,
-            f"CE+ {rows['ce+']['flit-hops vs MESI']:.3f}x",
-        ),
-        _check(
-            "ARC sends less on-chip traffic than CE+",
-            rows["arc"]["flit-hops vs MESI"] < rows["ce+"]["flit-hops vs MESI"],
-            f"ARC {rows['arc']['flit-hops vs MESI']:.3f}x vs "
-            f"CE+ {rows['ce+']['flit-hops vs MESI']:.3f}x",
-        ),
-        _check(
-            "ARC queues less per cycle than CE+",
-            rows["arc"]["queue cyc/kcycle"] <= rows["ce+"]["queue cyc/kcycle"] + 1e-9,
-            f"ARC {rows['arc']['queue cyc/kcycle']:.1f} vs "
-            f"CE+ {rows['ce+']['queue cyc/kcycle']:.1f} per kcycle",
-        ),
-    ]
+    arc, cp = rows["arc"], rows["ce+"]
+    hops, queue = "flit-hops vs MESI", "queue cyc/kcycle"
+    yield claim("CE+ sends more on-chip traffic than MESI under write sharing",
+                ("CE+ flit-hops vs MESI", cp[hops], ">", 1.0))
+    yield claim("ARC sends less on-chip traffic than CE+",
+                ("ARC vs CE+ flit-hops", arc[hops], "<", cp[hops]))
+    yield claim("ARC queues less per cycle than CE+",
+                ("ARC vs CE+ queue cyc/kcycle", arc[queue], "<=", cp[queue]))
 
 
 @checker("abl_arc_lazy_clear")
-def _lazy_clear(tables):
-    table = tables[0]
-    lazy_silent = all(row[4] == 0 for row in table.rows if row[1] == "lazy")
-    explicit_sends = all(row[4] > 0 for row in table.rows if row[1] == "explicit")
-    return [
-        _check("lazy clearing sends zero messages", lazy_silent, ""),
-        _check("explicit clearing sends messages", explicit_sends, ""),
-    ]
+def _lazy_clear(tables, settings):
+    rows, names = _variants(tables[0])
+    yield claim("lazy clearing sends zero messages", *(
+        (f"{w} lazy clear msgs", rows[w, "lazy"][4], "==", 0) for w in names))
+    yield claim("explicit clearing sends messages", *(
+        (f"{w} explicit clear msgs", rows[w, "explicit"][4], ">", 0)
+        for w in names))
+    yield claim("explicit clearing costs flit-hops on every workload", *(
+        (f"{w} explicit vs lazy flit-hops", rows[w, "explicit"][3], ">",
+         rows[w, "lazy"][3]) for w in names))
 
 
 @checker("abl_arc_write_through")
-def _arc_wt(tables):
-    table = tables[0]
-    wb_zero = all(row[4] == 0 for row in table.rows if row[1] == "write-back")
-    wt_positive = all(row[4] > 0 for row in table.rows if row[1] == "write-through")
-    return [
-        _check("write-back issues no write-through stores", wb_zero, ""),
-        _check("write-through issues per-store messages", wt_positive, ""),
-    ]
+def _arc_wt(tables, settings):
+    rows, names = _variants(tables[0])
+    wb, wt = "write-back", "write-through"
+    yield claim("write-back issues no write-through stores", *(
+        (f"{w} WB write-through stores", rows[w, wb][4], "==", 0)
+        for w in names))
+    yield claim("write-through issues per-store messages", *(
+        (f"{w} WT write-through stores", rows[w, wt][4], ">", 0)
+        for w in names))
+    yield claim("write-through never adds self-downgrades", *(
+        (f"{w} WT vs WB downgrades", rows[w, wt][5], "<=", rows[w, wb][5])
+        for w in names))
+    yield claim("on migratory-token, per-store messages outweigh saved downgrades",
+                ("WT vs WB flit-hops", rows["migratory-token", wt][3], ">",
+                 rows["migratory-token", wb][3]))
 
 
 @checker("abl_moesi")
-def _moesi(tables):
-    rows = tables[0].rows
-    moesi_rows = [r for r in rows if r[1] == "MOESI"]
-    mesi = {r[0]: r for r in rows if r[1] == "MESI"}
-    return [
-        _check(
-            "MOESI eliminates downgrade writebacks outright",
-            all(r[4] == 0 for r in moesi_rows)
-            and any(mesi[r[0]][4] > 0 for r in moesi_rows),
-            "; ".join(f"{r[0]}: {mesi[r[0]][4]:,} -> 0" for r in moesi_rows),
-        ),
-        _check(
-            "traffic drops on write-then-reshare patterns and never grows "
-            "beyond the forward-vs-LLC-sourcing trade (<3%)",
-            all(r[3] <= mesi[r[0]][3] * 1.03 for r in moesi_rows)
-            and any(r[3] < mesi[r[0]][3] for r in moesi_rows),
-            "; ".join(
-                f"{r[0]}: {mesi[r[0]][3]:,} -> {r[3]:,} flit-hops"
-                for r in moesi_rows
-            ),
-        ),
-    ]
+def _moesi(tables, settings):
+    rows, names = _variants(tables[0])
+    within = [(f"{w} MOESI vs 1.03 x MESI flit-hops", rows[w, "MOESI"][3], "<=",
+               rows[w, "MESI"][3] * 1.03) for w in names]
+    drops = [(f"{w} MOESI vs MESI flit-hops", rows[w, "MOESI"][3], "<",
+              rows[w, "MESI"][3]) for w in ("stencil-ocean", "migratory-token")]
+    yield claim("MOESI eliminates downgrade writebacks outright", *(
+        (f"{w} MOESI downgrade writebacks", rows[w, "MOESI"][4], "==", 0)
+        for w in names),
+        ("most MESI downgrade writebacks",
+         max(rows[w, "MESI"][4] for w in names), ">", 0))
+    yield claim("traffic drops on write-then-reshare patterns and never grows "
+                "beyond the forward-vs-LLC-sourcing trade (<3%)", *within, *drops)
 
 
 @checker("abl_sparse_directory")
-def _sparse_dir(tables):
+def _sparse_dir(tables, settings):
     rows = tables[0].row_dict("directory")
-    return [
-        _check(
-            "full-map never recalls; pressure produces recalls and spills",
-            rows["full-map"]["recalls"] == 0
-            and rows["256/bank"]["recalls"] > 0
-            and rows["256/bank"]["metadata spills"]
-            >= rows["full-map"]["metadata spills"],
-            f"recalls 0 -> {rows['1K/bank']['recalls']:,} -> "
-            f"{rows['256/bank']['recalls']:,}",
-        )
-    ]
+    full, mid, small = rows["full-map"], rows["1K/bank"], rows["256/bank"]
+    yield claim("full-map never recalls; pressure produces recalls and spills",
+                ("full-map recalls", full["recalls"], "==", 0),
+                ("256/bank recalls", small["recalls"], ">", 0),
+                ("256/bank vs full-map metadata spills", small["metadata spills"],
+                 ">=", full["metadata spills"]))
+    yield claim("recalls grow as the directory shrinks",
+                ("256/bank vs 1K/bank recalls", small["recalls"], ">=", mid["recalls"]))
+    yield claim("a smaller directory never sends fewer invalidations",
+                ("256/bank vs full-map invalidations", small["invalidations"], ">=",
+                 full["invalidations"]))
 
 
 @checker("abl_private_l2")
-def _private_l2(tables):
+def _private_l2(tables, settings):
     rows = tables[0].row_dict("config")
-    base, with_l2 = rows["L1 only"], rows["L1 + 256KB L2"]
-    return [
-        _check(
-            "a private L2 filters misses and CE metadata spills",
-            with_l2["private misses"] <= base["private misses"]
-            and with_l2["metadata spills"] <= base["metadata spills"],
-            f"misses {base['private misses']:,} -> {with_l2['private misses']:,}, "
-            f"spills {base['metadata spills']:,} -> {with_l2['metadata spills']:,}",
-        )
-    ]
+    base, l2 = rows["L1 only"], rows["L1 + 256KB L2"]
+    yield claim("a private L2 filters misses and CE metadata spills", *(
+        (f"L2 vs L1-only {c}", l2[c], "<=", base[c])
+        for c in ("private misses", "metadata spills")))
+    yield claim("the L1-only configuration has no L2 hits",
+                ("L1-only L2 hit rate", base["L2 hit rate"], "==", 0.0))
 
 
 @checker("abl_aim_writeback")
-def _aim_wb(tables):
-    by_policy = tables[0].row_dict("policy")
-    return [
-        _check(
-            "write-back AIM never moves more metadata off-chip than write-through",
-            by_policy["write-back"]["offchip metadata bytes"]
-            <= by_policy["write-through"]["offchip metadata bytes"],
-            f"WB {by_policy['write-back']['offchip metadata bytes']:,} vs "
-            f"WT {by_policy['write-through']['offchip metadata bytes']:,}",
-        )
-    ]
+def _aim_wb(tables, settings):
+    rows = tables[0].row_dict("policy")
+    wb, wt = rows["write-back"], rows["write-through"]
+    meta = "offchip metadata bytes"
+    yield claim("write-back AIM never moves more metadata off-chip than write-through",
+                ("WB vs WT offchip metadata bytes", wb[meta], "<=", wt[meta]))
+    yield claim("write-back costs at most 5% more cycles than write-through",
+                ("WB vs 1.05 x WT cycles", wb["cycles"], "<=", wt["cycles"] * 1.05))

@@ -1,8 +1,11 @@
-"""Generic parameter sweeps.
+"""Generic parameter sweeps, for users exploring the design space.
 
-A thin layer over :func:`repro.core.api.run_program` used by the
-sensitivity experiments and available to users exploring the design
-space (AIM sizes, core counts, workload parameters).
+:func:`sweep` maps each value of an arbitrary axis (AIM sizes, core
+counts, workload parameters) to a configuration and a program and runs
+the points through an :class:`~repro.harness.executor.Executor`.  The
+paper's sensitivity experiments do not use it: they build their
+:class:`~repro.harness.executor.SimPoint` lists and call
+``Executor.run_points`` directly (``harness/experiments.py``).
 
 Sweep points are independent simulations, so they fan out: pass
 ``jobs``/``cache`` (or a preconfigured

@@ -23,7 +23,7 @@ import hashlib
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..common import durable
 from ..common.errors import ServiceError, TraceError
@@ -152,16 +152,6 @@ class TraceStore:
         from ..trace.io import load_program
 
         return load_program(self._require(digest))
-
-    def iter_bytes(self, digest: str) -> Iterator[bytes]:
-        """Stream a stored trace back out (the download path)."""
-        path = self._require(digest)
-        with open(path, "rb") as fh:
-            while True:
-                chunk = fh.read(CHUNK_BYTES)
-                if not chunk:
-                    return
-                yield chunk
 
     def _require(self, digest: str) -> Path:
         path = self.path_for(digest)

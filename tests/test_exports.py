@@ -1,8 +1,8 @@
 """The packages' public names survive lazy resolution.
 
 ``repro``, ``repro.trace`` and ``repro.synth`` resolve their re-exports
-on first access (``repro.common.lazy``); ``repro.harness`` imports them
-eagerly.  Either way a public name must be the very object its defining
+on first access (``repro.common.lazy``); ``repro.harness`` imports all
+but the claim catalogue eagerly.  Either way a public name must be the very object its defining
 module holds, and cache entries written before ``ProgramStats`` moved
 to ``repro.trace.stats`` must still load.
 """

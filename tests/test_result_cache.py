@@ -313,7 +313,7 @@ class TestManifest:
         ex = Executor(jobs=1, cache=cache)
         ex.compare(cfg(), spec())
         ex.compare(cfg(), spec())
-        out = ex.manifest.write(tmp_path / "manifest.json")
+        out = ex.manifest.write_merged(tmp_path / "manifest.json")
         data = json.loads(out.read_text())
         assert data["points"] == len(ex.manifest.entries)
         assert data["hits"] == 4

@@ -4,7 +4,10 @@
 stdout per preset and seed.  The quick preset runs here, in fresh
 processes with pinned hashing and no inherited engine, sanitizer or
 cache knobs, so any change to what is simulated — or to how results
-render — fails the unit suite, not only the benchmark.
+render — fails the unit suite, not only the benchmark.  The runs pass
+``--report``, so the same two runs also prove that the report leaves
+stdout untouched and that every claim in the catalogue holds at both
+seeds (a failed claim exits 3).
 """
 
 import hashlib
@@ -37,9 +40,14 @@ def test_quick_suite_stdout_matches_reference(seed, tmp_path):
         [
             sys.executable, "-m", "repro.harness.run", "all",
             "--preset", "quick", "--jobs", "1", "--no-cache",
-            "--seed", str(seed),
+            "--seed", str(seed), "--report", str(tmp_path / "r.md"),
         ],
         cwd=tmp_path, env=env, capture_output=True, timeout=600,
     )
-    assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+    report = tmp_path / "r.md"
+    failed = [
+        line for line in report.read_text().splitlines()
+        if line.startswith("* **FAIL**")
+    ] if report.exists() else []
+    assert proc.returncode == 0, (proc.stderr.decode()[-2000:], failed)
     assert hashlib.sha256(proc.stdout).hexdigest() == expected
