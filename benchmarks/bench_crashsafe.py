@@ -169,14 +169,13 @@ def _committed_salvage_budget(default: float) -> float:
 def test_bench_crashsafe(tmp_path):
     """Pytest entry (CI crash-recovery job): fsync overhead and salvage
     speed must clear the budgets committed in BENCH_crashsafe.json."""
-    from conftest import committed_floor, record_bench
+    from conftest import committed_floor
 
-    payload = bench_crashsafe(
+    bench_crashsafe(
         tmp_path,
         committed_floor("crashsafe", DEFAULT_FSYNC_RATIO),
         _committed_salvage_budget(DEFAULT_SALVAGE_BUDGET_S),
     )
-    record_bench("crashsafe", payload)
 
 
 def main() -> int:

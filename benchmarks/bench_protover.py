@@ -116,10 +116,9 @@ def test_bench_protover():
     """Pytest entry (CI protover job): the full verification stack —
     sweeps, refinements, mutation drills with concretization — must
     run inside the budget committed in BENCH_protover.json."""
-    from conftest import committed_floor, record_bench
+    from conftest import committed_floor
 
-    payload = bench_protover(committed_floor("protover", DEFAULT_BUDGET_S))
-    record_bench("protover", payload)
+    bench_protover(committed_floor("protover", DEFAULT_BUDGET_S))
 
 
 def main() -> int:

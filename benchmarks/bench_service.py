@@ -218,12 +218,11 @@ def bench_service(tmp_root: Path, floor: float) -> dict:
 def test_bench_service(tmp_path):
     """Pytest entry (CI service job): throughput must clear the floor
     committed in BENCH_service.json, saturation must stay graceful."""
-    from conftest import committed_floor, record_bench
+    from conftest import committed_floor
 
-    payload = bench_service(
+    bench_service(
         tmp_path, committed_floor("service", DEFAULT_FLOOR_JOBS_PER_S)
     )
-    record_bench("service", payload)
 
 
 def main() -> int:

@@ -95,10 +95,9 @@ def bench_simcore(floor: float) -> dict:
 def test_bench_simcore():
     """Pytest entry (CI bench smoke): the batch engine must clear the
     floor committed in BENCH_simcore.json on the dispatch-heavy gate."""
-    from conftest import committed_floor, record_bench
+    from conftest import committed_floor
 
-    payload = bench_simcore(committed_floor("simcore", DEFAULT_FLOOR))
-    record_bench("simcore", payload)
+    bench_simcore(committed_floor("simcore", DEFAULT_FLOOR))
 
 
 def main() -> int:

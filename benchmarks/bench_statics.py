@@ -76,10 +76,9 @@ def bench_statics(budget_s: float) -> dict:
 def test_bench_statics():
     """Pytest entry (CI static-analysis job): the whole capture suite
     must analyze inside the budget committed in BENCH_statics.json."""
-    from conftest import committed_floor, record_bench
+    from conftest import committed_floor
 
-    payload = bench_statics(committed_floor("statics", DEFAULT_BUDGET_S))
-    record_bench("statics", payload)
+    bench_statics(committed_floor("statics", DEFAULT_BUDGET_S))
 
 
 def main() -> int:

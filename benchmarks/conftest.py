@@ -20,6 +20,9 @@ def record_bench(stem: str, payload: dict) -> Path:
     payload doesn't mention (e.g. a committed ``floor``) are preserved,
     so a measurement refresh never silently weakens a gate.  Output is
     sorted and newline-terminated to keep the committed diff minimal.
+    Only each module's standalone ``main()`` calls this; the pytest
+    entries assert the budgets and write nothing, so a test run never
+    dirties the committed snapshots.
     """
     path = REPO_ROOT / f"BENCH_{stem}.json"
     data = json.loads(path.read_text()) if path.exists() else {}

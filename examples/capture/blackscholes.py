@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Capture a blackscholes-like pricing map and compare trace formats.
+"""Capture a blackscholes-like pricing map and save it as a trace file.
 
 The `capture-blackscholes` workload is a data-parallel option pricer:
 each thread reads its slice of the spot/strike arrays, charges compute
 cycles for the pricing kernel, writes its result, and bumps a shared
 progress counter under a lock every few options.
 
-The captured Program round-trips through both on-disk formats — the
-monolithic `.npz` archive and the chunked, delta-encoded `.rtb` binary
-stream — and this script shows the size difference plus a result-level
-equality check after reload.
+The captured Program round-trips through the chunked, delta-encoded
+`.rtb` trace format; this script shows how much smaller the file is
+than the events it holds, plus a result-level equality check after
+reload.
 
 Run:  python examples/capture/blackscholes.py
 """
@@ -31,23 +31,18 @@ def main() -> None:
           f"{stats.num_accesses:,} accesses, {stats.num_regions} regions")
 
     with tempfile.TemporaryDirectory() as tmp:
-        npz = Path(tmp) / "bs.npz"
         rtb = Path(tmp) / "bs.rtb"
-        save_program(program, npz)
         save_program(program, rtb)
-        npz_size = npz.stat().st_size
         rtb_size = rtb.stat().st_size
-        print(f"on disk: npz {npz_size:,} B, rtb {rtb_size:,} B "
-              f"({npz_size / rtb_size:.1f}x smaller)")
+        raw_size = sum(trace.events.nbytes for trace in program.traces)
+        print(f"on disk: rtb {rtb_size:,} B for {raw_size:,} B of events "
+              f"({raw_size / rtb_size:.1f}x smaller)")
 
         cfg = SystemConfig(num_cores=4, protocol="arc")
         baseline = run_program(cfg, program).summary()
-        for path in (npz, rtb):
-            reloaded = run_program(cfg, load_program(path)).summary()
-            match = reloaded == baseline
-            print(f"replay from {path.suffix}: cycles "
-                  f"{reloaded['cycles']:,.0f}, identical to in-memory run: "
-                  f"{match}")
+        reloaded = run_program(cfg, load_program(rtb)).summary()
+        print(f"replay from .rtb: cycles {reloaded['cycles']:,.0f}, "
+              f"identical to in-memory run: {reloaded == baseline}")
 
 
 if __name__ == "__main__":

@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Stream a work-stealing queue capture to disk and replay out of core.
+"""Capture a work-stealing queue, save it, and replay it from disk.
 
 The `capture-workqueue` workload gives each thread a deque of tasks
 (deliberately uneven shares); idle threads steal from seeded victims.
-Passing ``stream_to=`` makes the capture flush event chunks to an
-`.rtb` file *while the program runs* — the returned program replays
-straight off the file, chunk by chunk, so captures far larger than RAM
-work with O(chunk) peak memory.
+Which thread runs which task depends entirely on the schedule, which is
+why capture serializes the threads deterministically: a saved capture
+stands in for the live program.
 
-This script runs the same capture twice — streamed and in-memory — and
-checks the two replays are identical result-for-result.
+This script captures once, saves the trace as an `.rtb` file, loads it
+back and checks that replaying the file gives the same result as
+replaying the capture held in memory.
 
 Run:  python examples/capture/workqueue.py
 """
@@ -19,29 +19,27 @@ from pathlib import Path
 
 from repro import SystemConfig, run_program
 from repro.capture import capture_workqueue
+from repro.trace.io import load_program, save_program
 
 THREADS = 4
 SEED = 9
 
 
 def main() -> None:
+    cfg = SystemConfig(num_cores=THREADS, protocol="ce+")
+    program = capture_workqueue(THREADS, SEED, 1.0)
+    in_memory = run_program(cfg, program).summary()
+
     with tempfile.TemporaryDirectory() as tmp:
         rtb = Path(tmp) / "wq.rtb"
-        streamed = capture_workqueue(THREADS, SEED, 1.0, stream_to=rtb)
-        print(f"streamed capture: {rtb.stat().st_size:,} B on disk, "
-              f"{streamed.num_events():,} events")
+        save_program(program, rtb)
+        print(f"saved capture: {rtb.stat().st_size:,} B on disk, "
+              f"{program.num_events():,} events")
+        from_disk = run_program(cfg, load_program(rtb)).summary()
 
-        cfg = SystemConfig(num_cores=THREADS, protocol="ce+")
-        # streamed traces hold forward-only cursors: skip the eager
-        # whole-trace validation pass and replay chunk by chunk
-        from_disk = run_program(cfg, streamed, validate=False).summary()
-
-    in_memory_program = capture_workqueue(THREADS, SEED, 1.0)
-    in_memory = run_program(cfg, in_memory_program).summary()
-
-    print(f"replay cycles: streamed {from_disk['cycles']:,.0f}, "
+    print(f"replay cycles: from disk {from_disk['cycles']:,.0f}, "
           f"in-memory {in_memory['cycles']:,.0f}")
-    print(f"streamed replay identical to in-memory replay: "
+    print(f"saved replay identical to in-memory replay: "
           f"{from_disk == in_memory}")
 
 

@@ -6,7 +6,7 @@ through traced proxies, synchronization through traced drop-ins, and a
 deterministic cooperative scheduler serializes the threads so repeated
 captures of a seeded program are byte-identical.  See
 ``docs/CAPTURE.md`` for the API, SFR inference rules, and the on-disk
-``.rtb`` format the capture layer streams to.
+``.rtb`` format captures are saved in.
 """
 
 from ..common.errors import CaptureError

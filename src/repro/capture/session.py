@@ -35,22 +35,17 @@ Typical use::
         ...read data[i], take lock, wait on done...
 
     program = session.run(worker)          # an ordinary trace.Program
-
-Pass ``stream_to="trace.rtb"`` to write events to disk *during* the
-capture (bounded memory) and get back a streamed program instead.
 """
 
 from __future__ import annotations
 
 import threading
-from pathlib import Path
 
 import numpy as np
 
 from ..common.errors import CaptureError
 from ..common.rng import make_rng
 from ..mem.address import AddressMap
-from ..trace.binio import DEFAULT_CHUNK_EVENTS, BinTraceWriter, stream_program_bin
 from ..trace.events import (
     ACQUIRE,
     BARRIER,
@@ -85,7 +80,6 @@ class _ThreadRecorder:
         "gaps",
         "held",
         "pending_gap",
-        "total",
     )
 
     def __init__(self, line_size: int):
@@ -97,10 +91,6 @@ class _ThreadRecorder:
         self.gaps: list[int] = []
         self.held: list[int] = []
         self.pending_gap = 0
-        self.total = 0
-
-    def __len__(self) -> int:
-        return len(self.kinds)
 
     def _append(self, kind: int, addr: int, size: int, sync_id: int) -> None:
         self.kinds.append(kind)
@@ -109,7 +99,6 @@ class _ThreadRecorder:
         self.sync_ids.append(sync_id)
         self.gaps.append(self.pending_gap)
         self.pending_gap = 0
-        self.total += 1
 
     def access(self, kind: int, addr: int, size: int) -> None:
         if not 1 <= size <= MAX_ACCESS_SIZE:
@@ -148,19 +137,14 @@ class _ThreadRecorder:
     def add_gap(self, cycles: int) -> None:
         self.pending_gap = min(self.pending_gap + cycles, _MAX_GAP)
 
-    def take_events(self) -> np.ndarray:
-        """Drain accumulated events as a structured array (streaming)."""
+    def events(self) -> np.ndarray:
+        """The recorded events as a structured array."""
         events = np.empty(len(self.kinds), dtype=EVENT_DTYPE)
         events["kind"] = self.kinds
         events["addr"] = self.addrs
         events["size"] = self.sizes
         events["sync_id"] = self.sync_ids
         events["gap"] = self.gaps
-        self.kinds.clear()
-        self.addrs.clear()
-        self.sizes.clear()
-        self.sync_ids.clear()
-        self.gaps.clear()
         return events
 
 
@@ -184,10 +168,6 @@ class CaptureSession:
         Optional preemption budget: additionally offer the baton to the
         next thread after every N shared accesses (0 = switch only at
         sync operations).  Any value is deterministic.
-    stream_to:
-        When set, events are flushed to this ``.rtb`` file during the
-        capture and :meth:`run` returns a streamed program (bounded
-        memory even for captures larger than RAM).
     """
 
     def __init__(
@@ -198,8 +178,6 @@ class CaptureSession:
         name: str = "captured",
         line_size: int = 64,
         switch_every: int = 0,
-        stream_to: str | Path | None = None,
-        chunk_events: int = DEFAULT_CHUNK_EVENTS,
     ):
         if num_threads <= 0:
             raise CaptureError("num_threads must be positive")
@@ -210,8 +188,6 @@ class CaptureSession:
         self.name = name
         self.line_size = line_size
         self.switch_every = switch_every
-        self.stream_to = Path(stream_to) if stream_to is not None else None
-        self.chunk_events = chunk_events
         self.amap = AddressMap(line_size, 1)
 
         self._alloc_rng = make_rng(seed, "capture", name, "alloc")
@@ -221,8 +197,6 @@ class CaptureSession:
         self._recorders = [_ThreadRecorder(line_size) for _ in range(num_threads)]
         self._tids: dict[int, int] = {}  # threading ident -> tid
         self._scheduler: CooperativeScheduler | None = None
-        self._writer: BinTraceWriter | None = None
-        self._barriers: list[TracedBarrier] = []
         self._accesses_since_switch = [0] * num_threads
         self._ran = False
 
@@ -274,9 +248,7 @@ class CaptureSession:
         """A traced barrier; defaults to all session threads."""
         barrier_id = self._next_barrier_id
         self._next_barrier_id += 1
-        barrier = TracedBarrier(self, barrier_id, parties or self.num_threads)
-        self._barriers.append(barrier)
-        return barrier
+        return TracedBarrier(self, barrier_id, parties or self.num_threads)
 
     def condition(self, lock: TracedLock | None = None) -> TracedCondition:
         """A traced condition variable (fresh lock unless one is given)."""
@@ -307,7 +279,6 @@ class CaptureSession:
             if self._accesses_since_switch[tid] >= self.switch_every:
                 self._accesses_since_switch[tid] = 0
                 self._scheduler.yield_control(tid)
-        self._maybe_drain(tid)
 
     def record_read(self, addr: int, size: int) -> None:
         self.record_access(READ, addr, size)
@@ -323,12 +294,6 @@ class CaptureSession:
         if self._scheduler is None:
             raise CaptureError("session is not running")
         return self._scheduler
-
-    def _maybe_drain(self, tid: int) -> None:
-        if self._writer is not None:
-            recorder = self._recorders[tid]
-            if len(recorder) >= self.chunk_events:
-                self._writer.append(tid, recorder.take_events())
 
     # -- capture -----------------------------------------------------------
 
@@ -351,13 +316,6 @@ class CaptureSession:
             )
         ]
         self._scheduler = CooperativeScheduler(order)
-        if self.stream_to is not None:
-            self._writer = BinTraceWriter(
-                self.stream_to,
-                self.num_threads,
-                self.name,
-                chunk_events=self.chunk_events,
-            )
 
         def thread_main(tid: int) -> None:
             self._tids[threading.get_ident()] = tid
@@ -381,47 +339,8 @@ class CaptureSession:
                 target=thread_main, args=(tid,), name=f"capture-{tid}", daemon=True
             )
 
-        try:
-            self._scheduler.run(factory)
-        except BaseException:
-            if self._writer is not None:
-                # leave the file footerless: readers reject the torso
-                self._writer._fh.close()
-                self._writer._closed = True
-            raise
-
-        self._check_barrier_episodes()
-        if self._writer is not None:
-            for tid in range(self.num_threads):
-                recorder = self._recorders[tid]
-                if len(recorder):
-                    self._writer.append(tid, recorder.take_events())
-            self._writer.close()
-            return stream_program_bin(self.stream_to)
-
-        traces = [
-            ThreadTrace(recorder.take_events()) for recorder in self._recorders
-        ]
+        self._scheduler.run(factory)
+        traces = [ThreadTrace(recorder.events()) for recorder in self._recorders]
         program = Program(traces=traces, name=self.name)
         validate_program(program, self.line_size)
         return program
-
-    def _check_barrier_episodes(self) -> None:
-        """Every barrier's participants must have arrived equally often.
-
-        This is :func:`~repro.trace.validate.validate_program`'s
-        cross-thread barrier rule, enforced from the live barrier
-        objects so streamed captures (whose events are already on disk)
-        get the same guarantee.
-        """
-        for barrier in self._barriers:
-            counts = {
-                tid: count
-                for tid, count in enumerate(barrier.episode_counts)
-                if count
-            }
-            if counts and len(set(counts.values())) > 1:
-                raise CaptureError(
-                    f"barrier {barrier.barrier_id}: unequal episode counts "
-                    f"across threads: {counts}"
-                )

@@ -99,7 +99,7 @@ class TracedLock:
 class TracedBarrier:
     """A traced cyclic barrier over ``parties`` threads."""
 
-    __slots__ = ("_session", "barrier_id", "parties", "_arrived", "episode_counts")
+    __slots__ = ("_session", "barrier_id", "parties", "_arrived")
 
     def __init__(self, session, barrier_id: int, parties: int):
         if parties <= 0 or parties > session.num_threads:
@@ -110,7 +110,6 @@ class TracedBarrier:
         self.barrier_id = barrier_id
         self.parties = parties
         self._arrived: list[int] = []
-        self.episode_counts = [0] * session.num_threads
 
     def wait(self) -> None:
         session = self._session
@@ -120,7 +119,6 @@ class TracedBarrier:
                 f"thread {tid} re-entered barrier {self.barrier_id} episode"
             )
         session.recorder_for(tid).barrier(self.barrier_id)
-        self.episode_counts[tid] += 1
         self._arrived.append(tid)
         if len(self._arrived) == self.parties:
             # episode complete: wake everyone in arrival order

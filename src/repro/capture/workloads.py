@@ -39,7 +39,6 @@ def capture_histogram(
     scale: float = 1.0,
     *,
     items_per_thread: int = 400,
-    stream_to=None,
 ) -> Program:
     """Block-partitioned histogram with a sharded merge.
 
@@ -48,9 +47,7 @@ def capture_histogram(
     into the shared histogram taking one lock per bin shard.  A barrier
     separates the scan+merge phase from a final verification read.
     """
-    session = CaptureSession(
-        num_threads, seed=seed, name="capture-histogram", stream_to=stream_to
-    )
+    session = CaptureSession(num_threads, seed=seed, name="capture-histogram")
     count = num_threads * scaled(items_per_thread, scale, minimum=8)
     rng = make_rng(seed, "capture", "histogram", "data")
     data = session.array(
@@ -86,7 +83,7 @@ def capture_histogram(
         done.wait()
 
     program = session.run(worker)
-    if stream_to is None and total.peek("checksum") != count:
+    if total.peek("checksum") != count:
         raise CaptureError(
             f"histogram lost updates: {total.peek('checksum')} != {count}"
         )
@@ -100,7 +97,6 @@ def capture_blackscholes(
     *,
     options_per_thread: int = 300,
     report_every: int = 64,
-    stream_to=None,
 ) -> Program:
     """Data-parallel option-pricing map with a shared progress counter.
 
@@ -109,9 +105,7 @@ def capture_blackscholes(
     and periodically bump a lock-protected progress counter, giving the
     otherwise conflict-free map a light locking pulse.
     """
-    session = CaptureSession(
-        num_threads, seed=seed, name="capture-blackscholes", stream_to=stream_to
-    )
+    session = CaptureSession(num_threads, seed=seed, name="capture-blackscholes")
     count = num_threads * scaled(options_per_thread, scale, minimum=8)
     rng = make_rng(seed, "capture", "blackscholes", "options")
     spots = session.array(
@@ -150,7 +144,7 @@ def capture_blackscholes(
         done.wait()
 
     program = session.run(worker)
-    if stream_to is None and progress.peek("priced") != count:
+    if progress.peek("priced") != count:
         raise CaptureError(
             f"blackscholes lost updates: {progress.peek('priced')} != {count}"
         )
@@ -164,7 +158,6 @@ def capture_pipeline(
     *,
     items_per_producer: int = 150,
     queue_capacity: int = 8,
-    stream_to=None,
 ) -> Program:
     """Bounded-buffer producer/consumer pipeline on a condition variable.
 
@@ -175,9 +168,7 @@ def capture_pipeline(
     """
     if num_threads < 2:
         raise CaptureError("capture-pipeline needs at least 2 threads")
-    session = CaptureSession(
-        num_threads, seed=seed, name="capture-pipeline", stream_to=stream_to
-    )
+    session = CaptureSession(num_threads, seed=seed, name="capture-pipeline")
     num_producers = num_threads // 2
     num_consumers = num_threads - num_producers
     per_producer = scaled(items_per_producer, scale, minimum=4)
@@ -245,7 +236,6 @@ def capture_workqueue(
     *,
     tasks_per_thread: int = 120,
     deque_capacity: int | None = None,
-    stream_to=None,
 ) -> Program:
     """Work-stealing task runner with per-thread deques.
 
@@ -255,9 +245,7 @@ def capture_workqueue(
     thread executes which task depends entirely on the schedule — the
     workload that motivates deterministic capture.
     """
-    session = CaptureSession(
-        num_threads, seed=seed, name="capture-workqueue", stream_to=stream_to
-    )
+    session = CaptureSession(num_threads, seed=seed, name="capture-workqueue")
     total_tasks = num_threads * scaled(tasks_per_thread, scale, minimum=4)
     if deque_capacity is None:
         deque_capacity = total_tasks  # any initial share fits
@@ -332,12 +320,11 @@ def capture_workqueue(
         finish.wait()
 
     program = session.run(worker)
-    if stream_to is None:
-        executed = sum(tops[tid].peek("done_count") for tid in range(num_threads))
-        if executed != total_tasks:
-            raise CaptureError(
-                f"workqueue executed {executed} tasks, expected {total_tasks}"
-            )
+    executed = sum(tops[tid].peek("done_count") for tid in range(num_threads))
+    if executed != total_tasks:
+        raise CaptureError(
+            f"workqueue executed {executed} tasks, expected {total_tasks}"
+        )
     return program
 
 
@@ -347,7 +334,6 @@ def capture_racy_counter(
     scale: float = 1.0,
     *,
     increments_per_thread: int = 60,
-    stream_to=None,
 ) -> Program:
     """A deliberately racy shared counter (conflict-detection exercise).
 
@@ -363,7 +349,6 @@ def capture_racy_counter(
         seed=seed,
         name="capture-racy-counter",
         switch_every=3,  # preempt mid-region so racy updates interleave
-        stream_to=stream_to,
     )
     # floor high enough that even tiny presets exhibit the race
     increments = scaled(increments_per_thread, scale, minimum=16)

@@ -68,7 +68,7 @@ COMMANDS: dict[str, tuple[str, str]] = {
              "verify and repair durable artifacts"),
 }
 
-TARGET_HELP = "workload name, or a trace file (.npz or .rtb)"
+TARGET_HELP = "workload name, or a trace file (.rtb)"
 
 
 # --------------------------------------------------------------------------
@@ -121,8 +121,8 @@ def parse_params(items: list[str] | None) -> dict:
 def load_target(
     target: str, num_threads: int, seed: int, scale: float, **params
 ) -> Program:
-    """Load an existing trace file (``.npz`` or ``.rtb``, sniffed by
-    content), or build the registered workload named ``target``."""
+    """Load an existing ``.rtb`` trace file, or build the registered
+    workload named ``target``."""
     if Path(target).is_file():
         from .trace.io import load_program
 

@@ -4,8 +4,8 @@ The scalar engine (:class:`~repro.core.simulator.Simulator`) dispatches
 one event at a time through the full protocol model; for most programs
 the overwhelming majority of those events are L1 hits on lines no other
 core ever observes.  :class:`BatchSimulator` exploits that: a
-whole-program classification pass (vectorized over the trace columns, or
-chunk-streamed for ``.rtb`` programs) splits cache lines into
+whole-program classification pass (vectorized over the trace columns)
+splits cache lines into
 
 ``PRIVATE(t)``
     only thread ``t`` ever accesses the line — reads *and* writes are
@@ -156,10 +156,8 @@ class LineClassification:
 def classify_program(program, line_size: int) -> LineClassification:
     """Classify every line ``program`` touches by its sharing pattern.
 
-    Streams each trace chunk-by-chunk (``ThreadTrace.iter_chunks`` is a
-    single chunk for materialized traces, the decoded ``.rtb`` chunks
-    for streamed ones), keeping only per-thread *unique line* sets in
-    memory — O(working set), never O(events).
+    Walks each trace through ``ThreadTrace.iter_chunks``, keeping only
+    per-thread *unique line* sets beyond the events themselves.
     """
     return _classify_exact(program, line_size)[0]
 

@@ -45,7 +45,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ..common import durable
 from ..common.config import ALL_PROTOCOLS, ProtocolKind, SystemConfig
@@ -257,6 +257,17 @@ class ManifestEntry:
         return record
 
 
+#: point status -> the manifest counts it adds to
+_COUNTED_AS = {
+    "hit": ("hits",),
+    "miss": ("misses",),
+    "computed": ("misses",),
+    "retried": ("misses", "retried"),
+    "timeout": ("timeouts", "failed"),
+    "failed": ("failed",),
+}
+
+
 @dataclass
 class Manifest:
     """Every point an executor ran: keys, timings, per-point status."""
@@ -266,28 +277,29 @@ class Manifest:
     entries: list[ManifestEntry] = field(default_factory=list)
     corrupt_evictions: int = 0
 
+    def _counts(self) -> dict:
+        """Per-status counts and total seconds over this run's entries."""
+        return self._status_counts((e.status, e.seconds) for e in self.entries)
+
     @property
     def hits(self) -> int:
-        return sum(1 for e in self.entries if e.status == "hit")
+        return self._counts()["hits"]
 
     @property
     def misses(self) -> int:
-        return sum(
-            1 for e in self.entries
-            if e.status in ("miss", "computed", "retried")
-        )
+        return self._counts()["misses"]
 
     @property
     def retried(self) -> int:
-        return sum(1 for e in self.entries if e.status == "retried")
+        return self._counts()["retried"]
 
     @property
     def timeouts(self) -> int:
-        return sum(1 for e in self.entries if e.status == "timeout")
+        return self._counts()["timeouts"]
 
     @property
     def failed(self) -> int:
-        return sum(1 for e in self.entries if e.status in ("timeout", "failed"))
+        return self._counts()["failed"]
 
     def record(
         self,
@@ -304,33 +316,35 @@ class Manifest:
         )
 
     def to_dict(self) -> dict:
+        counts = self._counts()
+        seconds = counts.pop("seconds")
         return {
             "version": 2,
             "jobs": self.jobs,
             "cache_dir": self.cache_dir,
-            "points": len(self.entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "retried": self.retried,
-            "timeouts": self.timeouts,
-            "failed": self.failed,
+            **counts,
             "corrupt_evictions": self.corrupt_evictions,
-            "seconds": round(sum(e.seconds for e in self.entries), 6),
+            "seconds": seconds,
             "entries": [e.to_dict() for e in self.entries],
         }
 
     @staticmethod
-    def _status_counts(entries: list[dict]) -> dict:
-        statuses = [e.get("status") for e in entries]
-        return {
-            "points": len(entries),
-            "hits": sum(s == "hit" for s in statuses),
-            "misses": sum(s in ("miss", "computed", "retried") for s in statuses),
-            "retried": sum(s == "retried" for s in statuses),
-            "timeouts": sum(s == "timeout" for s in statuses),
-            "failed": sum(s in ("timeout", "failed") for s in statuses),
-            "seconds": round(sum(e.get("seconds", 0.0) for e in entries), 6),
+    def _status_counts(entries: Iterable[tuple[str | None, float]]) -> dict:
+        """The one status -> count mapping, over ``(status, seconds)``."""
+        counts = {
+            "points": 0, "hits": 0, "misses": 0, "retried": 0,
+            "timeouts": 0, "failed": 0,
         }
+        seconds = 0.0
+        for status, spent in entries:
+            counts["points"] += 1
+            seconds += spent
+            # merged statuses are read back from disk: any JSON value
+            if isinstance(status, str):
+                for name in _COUNTED_AS.get(status, ()):
+                    counts[name] += 1
+        counts["seconds"] = round(seconds, 6)
+        return counts
 
     def write_merged(self, path: str | Path) -> Path:
         """Publish this run's manifest, merging in a prior one at ``path``.
@@ -362,7 +376,10 @@ class Manifest:
                     if isinstance(e, dict) and e.get("key") not in ours
                 ]
                 data["entries"] = kept + data["entries"]
-                data.update(self._status_counts(data["entries"]))
+                data.update(self._status_counts(
+                    (e.get("status"), e.get("seconds", 0.0))
+                    for e in data["entries"]
+                ))
                 data["corrupt_evictions"] += previous.get("corrupt_evictions", 0)
                 data["runs"] = previous.get("runs", 1) + 1
             return durable.atomic_replace_text(

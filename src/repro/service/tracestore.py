@@ -148,7 +148,7 @@ class TraceStore:
         )
 
     def load_program(self, digest: str) -> Program:
-        """Materialize a stored trace as a :class:`Program`."""
+        """Load a stored trace as an in-memory :class:`Program`."""
         from ..trace.io import load_program
 
         return load_program(self._require(digest))

@@ -11,10 +11,12 @@ Each worker thread loops ``claim → execute → journal → complete``:
   wait share one hold of the queue lock, so a submit cannot slip in
   between and go unnoticed.
 * **execute** goes through :func:`repro.service.jobs.execute_job` with
-  an :class:`~repro.harness.executor.Executor` built from the job's own
-  resilience knobs — per-job wall-clock timeout (process-pool enforced),
-  typed transient retries — plus the service's shared result cache, so
-  identical simulation points are never computed twice.
+  an :class:`~repro.harness.executor.Executor` built from the job's
+  per-job wall-clock timeout (process-pool enforced) plus the service's
+  shared result cache, so identical simulation points are never
+  computed twice.  The executor itself never retries: the queue's
+  attempt budget (``max(max_attempts, retries + 1)``) is the only one,
+  so a job is tried at most that many times in all.
 * **journal** stores the result payload in the content-addressed cache
   (an fsync'd atomic replace) *before* acknowledging; a crash between
   the two re-runs the job into a pure cache hit.
@@ -145,7 +147,7 @@ class Worker:
             jobs=1,
             cache=self.cache,
             point_timeout=spec.timeout,
-            retries=spec.retries,
+            retries=0,  # the queue's attempt budget is the only one
         )
 
     def _settle_failure(self, record: JobRecord, exc: Exception) -> None:

@@ -61,11 +61,6 @@ class SharedObject:
         last = (self.base + self.nbytes - 1) // line_size * line_size
         return list(range(first, last + line_size, line_size))
 
-    def element_label(self, index: Interval) -> str:
-        if self.kind == "struct" and self.fields is not None and index.is_point:
-            return f".{self.fields[index.lo]}"  # type: ignore[index]
-        return f"[{index!r}]"
-
 
 @dataclass(frozen=True)
 class AccessSite:
@@ -93,32 +88,6 @@ class AccessSite:
             else self.index.hi * obj.element_size + obj.element_size - 1
         )
         return Interval(lo, hi)
-
-
-@dataclass
-class PairFinding:
-    """Classification of one cross-thread (site, site) pair."""
-
-    obj: SharedObject
-    verdict: str
-    reason: str
-    site_a: AccessSite
-    site_b: AccessSite
-    overlap: Interval | None  # element intersection (None for NO_CONFLICT)
-
-    def to_dict(self) -> dict:
-        return {
-            "object": self.obj.name or f"obj{self.obj.oid}",
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "tid_a": self.site_a.tid,
-            "tid_b": self.site_b.tid,
-            "line_a": self.site_a.source_line,
-            "line_b": self.site_b.source_line,
-            "write_a": self.site_a.is_write,
-            "write_b": self.site_b.is_write,
-            "overlap": repr(self.overlap) if self.overlap is not None else None,
-        }
 
 
 @dataclass

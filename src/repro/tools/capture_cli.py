@@ -3,10 +3,8 @@
 Front end for :mod:`repro.capture`.  ``capture`` runs one of the
 registered ``capture-*`` workloads (a real multithreaded Python program
 instrumented with traced memory and sync proxies) and writes the
-recorded trace — ``.rtb`` streams the binary format chunk by chunk
-while the program runs; ``.npz`` materializes in memory first.
-``replay`` simulates a recorded trace (or a workload captured on the
-fly) under one or all protocols, streaming ``.rtb`` inputs out of core.
+recorded trace as an ``.rtb`` file.  ``replay`` simulates a recorded
+trace (or a workload captured on the fly) under one or all protocols.
 ``summary`` prints the Table II-style characteristics of a capture.
 
 Usage::
@@ -34,7 +32,6 @@ from ..common.config import SystemConfig
 from ..core.api import ALL_PROTOCOLS, run_program
 from ..harness.tables import TextTable
 from ..synth.base import generate
-from ..trace.binio import stream_program_bin
 from ..trace.io import BIN_SUFFIX, save_program
 from ..trace.program import Program
 
@@ -59,12 +56,10 @@ def _load_or_capture(args: argparse.Namespace) -> Program:
 
 
 def cmd_capture(args: argparse.Namespace) -> int:
-    program = _capture(args)
     out = Path(args.output)
-    if out.suffix not in (BIN_SUFFIX, ".npz"):
-        raise SystemExit(
-            f"output {out.name!r} must end in {BIN_SUFFIX} or .npz"
-        )
+    if out.suffix != BIN_SUFFIX:
+        raise SystemExit(f"output {out.name!r} must end in {BIN_SUFFIX}")
+    program = _capture(args)
     save_program(program, out)
     stats = program.stats()
     print(
@@ -75,17 +70,7 @@ def cmd_capture(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    path = Path(args.target)
-    stream = args.stream
-    if stream and path.suffix != BIN_SUFFIX:
-        raise SystemExit(f"--stream needs a {BIN_SUFFIX} trace file")
-
-    def open_program() -> Program:
-        if stream:
-            return stream_program_bin(path)
-        return _load_or_capture(args)
-
-    program = open_program()
+    program = _load_or_capture(args)
     cores = args.cores or pow2_cores(program.num_threads)
     protocols = (
         list(ALL_PROTOCOLS) if args.protocol == "all" else [args.protocol]
@@ -96,15 +81,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
         ["protocol", "cycles", "l1_miss_rate", "flit_hops", "conflicts"],
     )
     report: dict[str, dict[str, float]] = {}
-    for index, protocol in enumerate(protocols):
-        if index and stream:
-            # a streamed trace's forward-only cursors are exhausted
-            # after one simulation; reopen the file per protocol
-            program = open_program()
+    for protocol in protocols:
         cfg = SystemConfig(num_cores=cores, protocol=protocol)
-        # capture and the writers validate at record time; streamed
-        # programs cannot be re-scanned eagerly anyway
-        result = run_program(cfg, program, validate=not stream)
+        result = run_program(cfg, program)
         summary = result.summary()
         report[result.protocol.value] = summary
         table.add_row(
@@ -146,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     add_target_args(cap, threads=4, target_help="capture workload name")
     cap.add_argument(
         "-o", "--output", required=True,
-        help=f"trace path ({BIN_SUFFIX} streams, .npz materializes)",
+        help=f"trace path (must end in {BIN_SUFFIX})",
     )
     cap.set_defaults(func=cmd_capture)
 
@@ -161,10 +140,6 @@ def main(argv: list[str] | None = None) -> int:
     rep.add_argument(
         "--cores", type=int, default=0,
         help="core count (default: threads rounded up to a power of two)",
-    )
-    rep.add_argument(
-        "--stream", action="store_true",
-        help=f"replay a {BIN_SUFFIX} file out of core, one chunk at a time",
     )
     add_format(rep)
     rep.set_defaults(func=cmd_replay)

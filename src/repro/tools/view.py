@@ -1,6 +1,6 @@
 """Viewers: look at a workload or captured trace from five angles.
 
-Each takes a workload name or a trace file (``.npz`` or ``.rtb``) and
+Each takes a workload name or a trace file (``.rtb``) and
 prints one view of it:
 
 * ``repro inspect`` — Table II-style characteristics, a region-length
@@ -19,7 +19,7 @@ prints one view of it:
 Usage::
 
     repro inspect lock-counter --threads 8 --scale 0.5
-    repro dump saved.npz --thread 2 --offset 100
+    repro dump saved.rtb --thread 2 --offset 100
     repro conflicts racy-writers --protocol arc --verbose
     repro heatmap false-sharing --protocol ce+ --threads 16
     repro wsprofile migratory-token --sizes 4,16,64,256

@@ -15,14 +15,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "WRITE",
         "ThreadTrace",
     ),
-    ".binio": (
-        "BinTraceReader",
-        "BinTraceWriter",
-        "StreamedProgram",
-        "load_program_bin",
-        "save_program_bin",
-        "stream_program_bin",
-    ),
+    ".binio": ("BinTraceWriter", "load_program_bin", "save_program_bin"),
     ".io": ("load_program", "save_program"),
     ".program": ("Program",),
     ".stats": ("ProgramStats",),

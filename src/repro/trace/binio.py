@@ -1,21 +1,17 @@
-"""Compact streaming binary trace format (``.rtb``).
+"""The trace file format (``.rtb``): chunked, compact, checksummed.
 
-The ``.npz`` archives written by :mod:`repro.trace.io` are convenient
-but monolithic: a program must be fully materialized to save it and
-fully loaded to replay it.  Captured real-program traces
-(:mod:`repro.capture`) can be far larger than RAM, so this module
-defines a chunked binary format that supports
+Every trace that leaves memory — a saved capture, an upload to the
+service — is one ``.rtb`` file.  The writer appends events per thread
+in bounded chunks; each chunk's columns are encoded separately (raw
+bytes for kinds/sizes, zigzag-varint deltas for addresses, varints for
+gaps and sync ids), DEFLATE-compressed and CRC-checked.
 
-* **streaming writes** — events are appended per thread in bounded
-  chunks while the captured program is still running;
-* **streaming reads** — :meth:`BinTraceReader.stream_program` returns a
-  program whose columns are lazy chunk cursors, so the simulator
-  replays with O(chunk) peak memory per thread;
-* **compactness** — per-column encoding (raw bytes for kinds/sizes,
-  zigzag-varint deltas for addresses, varints for gaps and sync ids)
-  followed by per-chunk DEFLATE beats the record-oriented ``.npz``
-  encoding by a wide margin (``benchmarks/bench_capture.py`` asserts
-  >= 3x).
+Reading has one parser, :func:`_tolerant_scan`, which decodes the valid
+chunk prefix of a file and says why it stopped.  On top of it sit
+:func:`load_program_bin` (the whole file as an in-memory
+:class:`~repro.trace.program.Program`, or :class:`TraceError` when any
+part is damaged), :func:`scan_rtb` (check only) and :func:`salvage_rtb`
+(rewrite the valid prefix as a consistent file).
 
 Wire layout
 -----------
@@ -39,7 +35,6 @@ rejected.  CRCs are computed over the compressed payload.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import tempfile
@@ -59,12 +54,11 @@ FORMAT_VERSION = 1
 CHUNK_EVENTS = 1
 CHUNK_FOOTER = 2
 
-#: default events per chunk — ~64K events decode to a few hundred KB of
-#: column lists, the unit of peak memory for streamed replay
+#: default events per chunk (1 MiB of decoded events); part of the
+#: byte layout, so changing it changes every file written
 DEFAULT_CHUNK_EVENTS = 65536
 
 _U7 = np.uint64(7)
-_U63 = np.uint64(63)
 _LOW7 = np.uint64(0x7F)
 _CONT = np.uint8(0x80)
 
@@ -281,13 +275,12 @@ def _decode_events_payload(payload: bytes, count: int) -> np.ndarray:
 
 
 class BinTraceWriter:
-    """Streaming ``.rtb`` writer.
+    """Chunked ``.rtb`` writer.
 
     Events are appended per thread (in any interleaving) and flushed as
     independent chunks; nothing is buffered beyond one chunk per
-    thread, so captures larger than RAM write in bounded memory.  Use
-    as a context manager — the footer that marks the file complete is
-    written on :meth:`close`.
+    thread.  Use as a context manager — the footer that marks the file
+    complete is written on :meth:`close`.
     """
 
     def __init__(
@@ -408,313 +401,7 @@ class BinTraceWriter:
 
 
 # --------------------------------------------------------------------------
-# reader
-# --------------------------------------------------------------------------
-
-
-class _ChunkRef:
-    """Location of one decoded-on-demand events chunk."""
-
-    __slots__ = ("tid", "count", "start", "offset", "length")
-
-    def __init__(self, tid: int, count: int, start: int, offset: int, length: int):
-        self.tid = tid
-        self.count = count
-        self.start = start  # first event index within the thread
-        self.offset = offset  # file offset of the compressed payload
-        self.length = length
-
-
-class BinTraceReader:
-    """Reads ``.rtb`` files written by :class:`BinTraceWriter`.
-
-    Construction scans the chunk index (headers only, payloads are
-    skipped) and validates the footer; :meth:`read_program` materializes
-    everything, :meth:`stream_program` returns a :class:`StreamedProgram`
-    replayable in O(chunk) memory.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._fh = open(self.path, "rb")
-        self.meta = self._read_header()
-        self.num_threads = int(self.meta["num_threads"])
-        self.name = str(self.meta["name"])
-        self._chunks: list[list[_ChunkRef]] = [[] for _ in range(self.num_threads)]
-        self.footer = self._scan_chunks()
-        self.counts = [int(c) for c in self.footer["counts"]]
-        if len(self.counts) != self.num_threads:
-            raise TraceError(
-                f"{self.path}: footer lists {len(self.counts)} threads, "
-                f"header says {self.num_threads}"
-            )
-        for tid, refs in enumerate(self._chunks):
-            indexed = sum(ref.count for ref in refs)
-            if indexed != self.counts[tid]:
-                raise TraceError(
-                    f"{self.path}: thread {tid} has {indexed} events in "
-                    f"chunks but footer promises {self.counts[tid]}"
-                )
-        self.barrier_participants = {
-            int(bid): frozenset(tids)
-            for bid, tids in self.footer.get("barriers", {}).items()
-        }
-
-    # -- parsing -----------------------------------------------------------
-
-    def _read_header(self) -> dict:
-        return _parse_header(self._fh, self.path)
-
-    def _scan_chunks(self) -> dict:
-        starts = [0] * self.num_threads
-        while True:
-            kind = self._fh.read(1)
-            if not kind:
-                raise TraceError(
-                    f"{self.path}: no footer chunk — the file is truncated "
-                    "(the writer died before close())"
-                )
-            if kind[0] == CHUNK_EVENTS:
-                tid = _read_varint_scalar(self._fh)
-                count = _read_varint_scalar(self._fh)
-                length = _read_varint_scalar(self._fh)
-                if not 0 <= tid < self.num_threads:
-                    raise TraceError(f"{self.path}: chunk for unknown tid {tid}")
-                offset = self._fh.tell()
-                self._chunks[tid].append(
-                    _ChunkRef(tid, count, starts[tid], offset, length)
-                )
-                starts[tid] += count
-                self._fh.seek(length + 4, io.SEEK_CUR)
-                if self._fh.tell() > self._file_size():
-                    raise TraceError(f"{self.path}: chunk overruns the file")
-            elif kind[0] == CHUNK_FOOTER:
-                length = _read_varint_scalar(self._fh)
-                payload = self._fh.read(length)
-                if len(payload) != length:
-                    raise TraceError(f"{self.path}: truncated footer")
-                self._check_crc(payload)
-                if self._fh.read(1):
-                    raise TraceError(f"{self.path}: data after the footer")
-                try:
-                    footer = json.loads(zlib.decompress(payload).decode("utf-8"))
-                except (zlib.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
-                    raise TraceError(f"{self.path}: corrupt footer") from exc
-                if "counts" not in footer:
-                    raise TraceError(f"{self.path}: footer missing event counts")
-                return footer
-            else:
-                raise TraceError(
-                    f"{self.path}: unknown chunk type {kind[0]} "
-                    "(corrupt file or newer format)"
-                )
-
-    def _file_size(self) -> int:
-        return self.path.stat().st_size
-
-    def _check_crc(self, payload: bytes) -> None:
-        crc_raw = self._fh.read(4)
-        if len(crc_raw) != 4:
-            raise TraceError(f"{self.path}: truncated chunk CRC")
-        if zlib.crc32(payload) != int.from_bytes(crc_raw, "little"):
-            raise TraceError(f"{self.path}: chunk CRC mismatch (corrupt file)")
-
-    # -- chunk access ------------------------------------------------------
-
-    def _load_chunk(self, ref: _ChunkRef) -> np.ndarray:
-        self._fh.seek(ref.offset)
-        payload = self._fh.read(ref.length)
-        if len(payload) != ref.length:
-            raise TraceError(f"{self.path}: truncated chunk payload")
-        self._check_crc(payload)
-        events = _decode_events_payload(payload, ref.count)
-        return events
-
-    # -- program construction ----------------------------------------------
-
-    def read_program(self) -> Program:
-        """Materialize the whole file as an in-memory :class:`Program`."""
-        traces = []
-        for tid in range(self.num_threads):
-            refs = self._chunks[tid]
-            if refs:
-                events = np.concatenate([self._load_chunk(ref) for ref in refs])
-            else:
-                events = np.empty(0, dtype=EVENT_DTYPE)
-            traces.append(ThreadTrace(events))
-        return Program(
-            traces=traces,
-            name=self.name,
-            barrier_participants=dict(self.barrier_participants),
-        )
-
-    def stream_program(self) -> "StreamedProgram":
-        """Lazy program whose columns decode one chunk at a time."""
-        traces = [
-            StreamedThreadTrace(self, tid, self.counts[tid], self._chunks[tid])
-            for tid in range(self.num_threads)
-        ]
-        return StreamedProgram(
-            traces=traces,
-            name=self.name,
-            barrier_participants=dict(self.barrier_participants),
-        )
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self) -> "BinTraceReader":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-# --------------------------------------------------------------------------
-# streamed replay
-# --------------------------------------------------------------------------
-
-
-class _ChunkCursor:
-    """Sliding one-chunk window over a thread's events.
-
-    The simulator reads each column at a monotonically advancing index
-    (with bounded re-reads of the current event while a core is blocked
-    on a lock or barrier), so a single decoded chunk per thread is
-    sufficient; stepping backwards across a chunk boundary is a usage
-    error and raises.
-    """
-
-    __slots__ = ("_reader", "_refs", "_next", "start", "end", "columns")
-
-    def __init__(self, reader: BinTraceReader, refs: list[_ChunkRef]):
-        self._reader = reader
-        self._refs = refs
-        self._next = 0
-        self.start = 0
-        self.end = 0
-        self.columns: tuple = ([], [], [], [], [])
-
-    def seek_to(self, index: int) -> None:
-        if index < self.start:
-            raise TraceError(
-                "binio: streamed traces only support forward replay "
-                f"(asked for event {index}, window starts at {self.start})"
-            )
-        while index >= self.end:
-            if self._next >= len(self._refs):
-                raise TraceError(f"binio: event index {index} beyond trace end")
-            ref = self._refs[self._next]
-            self._next += 1
-            events = self._reader._load_chunk(ref)
-            self.start = ref.start
-            self.end = ref.start + ref.count
-            self.columns = (
-                events["kind"].tolist(),
-                events["addr"].tolist(),
-                events["size"].tolist(),
-                events["sync_id"].tolist(),
-                events["gap"].tolist(),
-            )
-
-
-class _LazyColumn:
-    """One column of a streamed trace, indexable like a list."""
-
-    __slots__ = ("_cursor", "_col", "_length")
-
-    def __init__(self, cursor: _ChunkCursor, col: int, length: int):
-        self._cursor = cursor
-        self._col = col
-        self._length = length
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, index: int):
-        cursor = self._cursor
-        if index < cursor.start or index >= cursor.end:
-            cursor.seek_to(index)
-        return cursor.columns[self._col][index - cursor.start]
-
-
-class StreamedThreadTrace:
-    """A :class:`ThreadTrace` stand-in backed by on-disk chunks.
-
-    Supports exactly what replay needs — ``len()`` and
-    :meth:`columns` — without materializing events.  Statistics and
-    NumPy column views require :meth:`materialize`.
-    """
-
-    __slots__ = ("_reader", "tid", "_length", "_refs")
-
-    def __init__(
-        self, reader: BinTraceReader, tid: int, length: int, refs: list[_ChunkRef]
-    ):
-        self._reader = reader
-        self.tid = tid
-        self._length = length
-        self._refs = refs
-
-    def __len__(self) -> int:
-        return self._length
-
-    def columns(self):
-        """Lazy ``(kinds, addrs, sizes, sync_ids, gaps)`` column views.
-
-        The five views share one chunk cursor, so replaying a thread
-        holds exactly one decoded chunk in memory at a time.
-        """
-        cursor = _ChunkCursor(self._reader, self._refs)
-        return tuple(_LazyColumn(cursor, col, self._length) for col in range(5))
-
-    def iter_chunks(self):
-        """Yield decoded chunk arrays in file order (one in memory at a
-        time) — the streamed counterpart of ``ThreadTrace.iter_chunks``."""
-        for ref in self._refs:
-            yield self._reader._load_chunk(ref)
-
-    def materialize(self) -> ThreadTrace:
-        """Decode every chunk into an ordinary in-memory trace."""
-        if not self._refs:
-            return ThreadTrace(np.empty(0, dtype=EVENT_DTYPE))
-        events = np.concatenate(
-            [self._reader._load_chunk(ref) for ref in self._refs]
-        )
-        return ThreadTrace(events)
-
-    def __repr__(self) -> str:
-        return (
-            f"StreamedThreadTrace(tid={self.tid}, {self._length} events, "
-            f"{len(self._refs)} chunks)"
-        )
-
-
-class StreamedProgram(Program):
-    """A :class:`Program` whose traces stream from disk.
-
-    Barrier participants come from the file footer, so construction
-    never touches event data.  Replay it with ``validate=False`` (the
-    capture layer validated the program before writing) or materialize
-    first.
-    """
-
-    def __post_init__(self) -> None:
-        if not self.traces:
-            raise TraceError("a program needs at least one thread")
-        # no barrier inference: the footer supplied the participant map
-
-    def materialize(self) -> Program:
-        """Fully load into an ordinary in-memory :class:`Program`."""
-        return Program(
-            traces=[t.materialize() for t in self.traces],
-            name=self.name,
-            barrier_participants=dict(self.barrier_participants),
-        )
-
-
-# --------------------------------------------------------------------------
-# one-shot helpers
+# whole-program write
 # --------------------------------------------------------------------------
 
 
@@ -742,23 +429,8 @@ def save_program_bin(
             writer._barriers.setdefault(int(bid), set()).update(tids)
 
 
-def load_program_bin(path: str | Path) -> Program:
-    """Materialize a ``.rtb`` file as an in-memory :class:`Program`."""
-    with BinTraceReader(path) as reader:
-        return reader.read_program()
-
-
-def stream_program_bin(path: str | Path) -> StreamedProgram:
-    """Open a ``.rtb`` file for O(chunk)-memory streamed replay.
-
-    The returned program holds an open file handle (closed when the
-    reader is garbage-collected); each call returns independent cursors.
-    """
-    return BinTraceReader(path).stream_program()
-
-
 # --------------------------------------------------------------------------
-# salvage: torn / truncated .rtb recovery
+# reading: one chunk scanner for load, check and salvage
 # --------------------------------------------------------------------------
 
 
@@ -768,7 +440,7 @@ class SalvageReport:
 
     ``ok`` means the file is completely valid (every chunk CRC checks,
     the footer is present, its counts match, nothing trails it) —
-    :class:`BinTraceReader` would accept it as-is.  Otherwise ``reason``
+    :func:`load_program_bin` would accept it as-is.  Otherwise ``reason``
     says why the scan stopped, and the chunk/event/byte figures describe
     the *valid prefix* a :func:`salvage_rtb` rewrite would preserve.
     """
@@ -790,6 +462,9 @@ class SalvageReport:
 
 def _tolerant_scan(path: Path, keep_events: bool):
     """Decode the valid chunk prefix of an ``.rtb`` file.
+
+    The only parser of ``.rtb`` chunks: loading, checking and salvage
+    all go through it, so they agree on what a valid file is.
 
     Returns ``(report, meta, chunks, footer)`` where ``chunks`` is a
     list of ``(tid, events)`` in file order (empty arrays when
@@ -874,6 +549,36 @@ def _tolerant_scan(path: Path, keep_events: bool):
         total_bytes=total_bytes,
     )
     return report, meta, chunks, footer
+
+
+def load_program_bin(path: str | Path) -> Program:
+    """Read a ``.rtb`` file as an in-memory :class:`Program`.
+
+    Anything short of a completely valid file (bad header, torn or
+    corrupt chunk, missing or inconsistent footer, data after the
+    footer) raises :class:`TraceError` with the scan's reason.
+    """
+    path = Path(path)
+    report, meta, chunks, footer = _tolerant_scan(path, keep_events=True)
+    if not report.ok:
+        raise TraceError(f"{path}: {report.reason}")
+    blocks: list[list[np.ndarray]] = [[] for _ in range(report.num_threads)]
+    for tid, events in chunks:
+        blocks[tid].append(events)
+    traces = [
+        ThreadTrace(
+            np.concatenate(parts) if parts else np.empty(0, dtype=EVENT_DTYPE)
+        )
+        for parts in blocks
+    ]
+    return Program(
+        traces=traces,
+        name=str(meta["name"]),
+        barrier_participants={
+            int(bid): frozenset(int(t) for t in tids)
+            for bid, tids in footer.get("barriers", {}).items()
+        },
+    )
 
 
 def scan_rtb(path: str | Path) -> SalvageReport:

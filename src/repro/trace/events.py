@@ -145,10 +145,7 @@ class ThreadTrace:
 
         This is the simulator's ingestion interface: plain-int indexing
         is several times faster than NumPy scalar indexing in the hot
-        loop.  Streamed traces (:mod:`repro.trace.binio`) override this
-        to return lazy, chunk-backed sequences instead of materialized
-        lists, so the engine never needs the whole trace in memory.
-        Order: ``(kinds, addrs, sizes, sync_ids, gaps)``.
+        loop.  Order: ``(kinds, addrs, sizes, sync_ids, gaps)``.
         """
         return (
             self.kinds.tolist(),
@@ -162,10 +159,9 @@ class ThreadTrace:
         """Yield the event array in forward order, chunk by chunk.
 
         The batch engine's classification and window passes consume
-        traces through this interface so they work identically on
-        materialized and streamed traces.  A materialized trace is one
-        chunk; :class:`repro.trace.binio.StreamedThreadTrace` yields its
-        decoded ``.rtb`` chunks, keeping memory O(chunk).
+        traces through this interface.  A trace is always in memory, so
+        it yields one chunk: the whole event array (nothing for an
+        empty trace).
         """
         if len(self.events):
             yield self.events

@@ -1,119 +1,38 @@
-"""Trace (de)serialization with transparent format dispatch.
+"""Saving and loading :class:`~repro.trace.program.Program` traces.
 
-Two on-disk formats round-trip :class:`~repro.trace.program.Program`:
-
-* ``.npz`` — NumPy archives (one structured array per thread plus a
-  JSON metadata blob).  Simple, monolithic, must fit in memory.
-* ``.rtb`` — the chunked streaming binary format of
-  :mod:`repro.trace.binio`.  Compact, written incrementally during
-  capture, replayable with O(chunk) memory.
-
-:func:`save_program` dispatches on the path's extension;
-:func:`load_program` dispatches on the file's magic bytes, so loading
-never depends on the file being named correctly.
+There is one trace file format, the chunked binary ``.rtb`` of
+:mod:`repro.trace.binio`.  :func:`load_program` checks the file's magic
+bytes before parsing, so a file that is not a trace at all gets a
+plain "not a repro trace" error rather than a parser complaint.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-import numpy as np
-
 from ..common.errors import TraceError
-from .events import EVENT_DTYPE, ThreadTrace
 from .program import Program
 
-_FORMAT_VERSION = 1
-
-#: extension of the streaming binary format
+#: extension of the trace file format
 BIN_SUFFIX = ".rtb"
 
 
 def save_program(program: Program, path: str | Path) -> None:
-    """Write ``program`` to ``path``; the extension picks the format.
+    """Write ``program`` to ``path`` as a ``.rtb`` trace."""
+    from .binio import save_program_bin
 
-    ``.rtb`` selects the streaming binary format, anything else the
-    compressed ``.npz`` archive (NumPy appends ``.npz`` itself when the
-    suffix is missing).
-    """
-    path = Path(path)
-    if path.suffix == BIN_SUFFIX:
-        from .binio import save_program_bin
-
-        save_program_bin(program, path)
-        return
-    meta = {
-        "version": _FORMAT_VERSION,
-        "name": program.name,
-        "num_threads": program.num_threads,
-        "barriers": {
-            str(bid): sorted(tids)
-            for bid, tids in program.barrier_participants.items()
-        },
-    }
-    arrays = {
-        f"thread_{tid}": trace.events for tid, trace in enumerate(program.traces)
-    }
-    arrays["meta"] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8
-    ).copy()
-    np.savez_compressed(path, **arrays)
-
-
-def _check_version(meta: dict, path: Path) -> None:
-    """Reject archives whose format version this build cannot read."""
-    version = meta.get("version")
-    if version is None:
-        raise TraceError(
-            f"{path}: trace metadata carries no format version — not a "
-            "repro trace archive, or one predating versioned metadata"
-        )
-    if version != _FORMAT_VERSION:
-        hint = (
-            "written by a newer release"
-            if isinstance(version, int) and version > _FORMAT_VERSION
-            else "unknown"
-        )
-        raise TraceError(
-            f"{path}: unsupported trace format version {version!r} ({hint}); "
-            f"this build reads version {_FORMAT_VERSION}"
-        )
+    save_program_bin(program, path)
 
 
 def load_program(path: str | Path) -> Program:
-    """Load a program written by :func:`save_program` (either format).
-
-    The format is sniffed from the file's magic bytes: ``RTRC`` for the
-    streaming binary format, ``PK`` (a zip archive) for ``.npz``.
-    """
+    """Load a program written by :func:`save_program`."""
     path = Path(path)
-    from .binio import MAGIC, load_program_bin
+    from . import binio
 
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-    if magic == MAGIC:
-        return load_program_bin(path)
-    if not magic.startswith(b"PK"):
+        magic = fh.read(len(binio.MAGIC))
+    if magic != binio.MAGIC:
         raise TraceError(
-            f"{path}: not a repro trace (expected an .npz archive or an "
-            f"{BIN_SUFFIX} binary trace)"
+            f"{path}: not a repro trace (expected an {BIN_SUFFIX} binary trace)"
         )
-    with np.load(path) as archive:
-        if "meta" not in archive:
-            raise TraceError(f"{path}: not a repro trace archive (no meta)")
-        meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
-        _check_version(meta, path)
-        traces = []
-        for tid in range(meta["num_threads"]):
-            key = f"thread_{tid}"
-            if key not in archive:
-                raise TraceError(f"{path}: missing {key}")
-            events = archive[key]
-            if events.dtype != EVENT_DTYPE:
-                raise TraceError(f"{path}: {key} has dtype {events.dtype}")
-            traces.append(ThreadTrace(events.copy()))
-    barriers = {
-        int(bid): frozenset(tids) for bid, tids in meta.get("barriers", {}).items()
-    }
-    return Program(traces=traces, name=meta["name"], barrier_participants=barriers)
+    return binio.load_program_bin(path)

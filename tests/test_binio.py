@@ -1,9 +1,9 @@
-"""The streaming binary trace format: codecs, round-trips, rejection.
+"""The binary trace format: codecs, round-trips, rejection, salvage.
 
 Covers the varint/zigzag codecs on their edge values, property-based
-round-trips Program ↔ npz ↔ binio (the two formats must agree event
-for event), the streamed out-of-core reader against the materialized
-one, and the reader's rejection of truncated and corrupted files.
+round-trips Program -> .rtb -> Program, the loader's rejection of every
+kind of damaged file (which the check-only scan must flag too), and
+salvage of the valid chunk prefix.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.common.errors import TraceError
 from repro.trace import (
-    BinTraceReader,
     BinTraceWriter,
     Program,
     TraceBuilder,
@@ -29,7 +28,6 @@ from repro.trace.binio import (
     salvage_rtb,
     save_program_bin,
     scan_rtb,
-    stream_program_bin,
     zigzag_decode,
     zigzag_encode,
 )
@@ -156,7 +154,7 @@ class TestRoundTrip:
         save_program(original, path)
         assert path.read_bytes()[: len(MAGIC)] == MAGIC
         # load_program sniffs magic, not extension
-        disguised = tmp_path / "p.npz"
+        disguised = tmp_path / "p.trace"
         disguised.write_bytes(path.read_bytes())
         assert_programs_equal(original, load_program(disguised))
 
@@ -171,15 +169,10 @@ class TestRoundTrip:
 
     @given(program=programs())
     @settings(max_examples=25, deadline=None)
-    def test_program_npz_binio_agree(self, program, tmp_path_factory):
-        tmp = tmp_path_factory.mktemp("rt")
-        npz, rtb = tmp / "p.npz", tmp / "p.rtb"
-        save_program(program, npz)
+    def test_program_roundtrip(self, program, tmp_path_factory):
+        rtb = tmp_path_factory.mktemp("rt") / "p.rtb"
         save_program(program, rtb)
-        from_npz = load_program(npz)
-        from_rtb = load_program(rtb)
-        assert_programs_equal(from_npz, from_rtb)
-        assert_programs_equal(program, from_rtb)
+        assert_programs_equal(program, load_program(rtb))
 
     def test_multi_chunk_writer(self, tmp_path):
         builder = TraceBuilder()
@@ -188,51 +181,8 @@ class TestRoundTrip:
         program = Program([builder.build()], name="chunky")
         path = tmp_path / "c.rtb"
         save_program_bin(program, path, chunk_events=64)
-        with BinTraceReader(path) as reader:
-            assert len(reader._chunks[0]) > 1
+        assert scan_rtb(path).chunks > 1
         assert_programs_equal(program, load_program_bin(path))
-
-
-# -------------------------------------------------------------- streaming
-
-
-class TestStreaming:
-    def test_streamed_columns_match_materialized(self, tmp_path):
-        builder = TraceBuilder()
-        for i in range(500):
-            builder.write(i * 16, size=4, gap=i % 5)
-            if i % 50 == 49:
-                builder.acquire(0).release(0)
-        program = Program([builder.build()], name="stream")
-        path = tmp_path / "s.rtb"
-        save_program_bin(program, path, chunk_events=32)
-
-        streamed = stream_program_bin(path)
-        got = streamed.traces[0].columns()
-        want = program.traces[0].columns()
-        assert all(len(g) == len(w) for g, w in zip(got, want))
-        # the five views share one forward-only cursor: walk index-major
-        for i in range(len(want[0])):
-            assert tuple(g[i] for g in got) == tuple(w[i] for w in want)
-
-    def test_streamed_materialize(self, tmp_path):
-        program = small_program("mat")
-        path = tmp_path / "m.rtb"
-        save_program_bin(program, path)
-        assert_programs_equal(program, stream_program_bin(path).materialize())
-
-    def test_forward_only_cursor_rejects_rewind(self, tmp_path):
-        builder = TraceBuilder()
-        for i in range(200):
-            builder.read(i * 8)
-        path = tmp_path / "f.rtb"
-        save_program_bin(
-            Program([builder.build()], name="fwd"), path, chunk_events=32
-        )
-        kinds = stream_program_bin(path).traces[0].columns()[0]
-        assert kinds[150] == 0
-        with pytest.raises(TraceError, match="forward"):
-            kinds[0]
 
 
 # -------------------------------------------------------------- rejection
@@ -293,12 +243,70 @@ class TestRejection:
             load_program_bin(path)
 
 
+#: every way a trace file can be damaged; the header cases make the
+#: file unsalvageable (the scan itself raises), the rest leave a valid
+#: chunk prefix that the scan reports as not ok
+DAMAGE = [
+    "bad-magic",
+    "bad-version",
+    "mid-chunk-truncation",
+    "missing-footer",
+    "crc-flip",
+    "data-after-footer",
+    "footer-counts",
+]
+
+
+class TestDamagedFiles:
+    def write_file(self, tmp_path, kind):
+        """A two-thread multi-chunk trace damaged in one named way."""
+        builder = TraceBuilder()
+        for i in range(256):
+            builder.write(i * 8, gap=i % 3)
+        path = tmp_path / f"{kind}.rtb"
+        with BinTraceWriter(path, 2, "damaged", chunk_events=32) as writer:
+            writer.append_trace(0, builder.build())
+            writer.append_trace(1, TraceBuilder().read(64).build())
+            for tid in range(2):
+                writer._flush_thread(tid)
+            footer_at = writer._fh.tell()
+            if kind == "footer-counts":
+                writer._totals[1] += 1  # a promised event no chunk holds
+        assert kind == "footer-counts" or scan_rtb(path).ok
+        data = bytearray(path.read_bytes())
+        if kind == "bad-magic":
+            data[:4] = b"NOPE"
+        elif kind == "bad-version":
+            data[len(MAGIC)] = FORMAT_VERSION + 1
+        elif kind == "mid-chunk-truncation":
+            del data[len(data) // 2:]
+        elif kind == "missing-footer":
+            del data[footer_at:]
+        elif kind == "crc-flip":
+            data[footer_at - 1] ^= 0xFF  # last CRC byte of the last chunk
+        elif kind == "data-after-footer":
+            data += b"\x00"
+        path.write_bytes(bytes(data))
+        return path
+
+    @pytest.mark.parametrize("kind", DAMAGE)
+    def test_load_rejects_and_scan_flags(self, tmp_path, kind):
+        path = self.write_file(tmp_path, kind)
+        with pytest.raises(TraceError):
+            load_program_bin(path)
+        if kind in ("bad-magic", "bad-version"):
+            with pytest.raises(TraceError):
+                scan_rtb(path)
+        else:
+            assert not scan_rtb(path).ok
+
+
 # ------------------------------------------------------------- salvage
 
 
 class TestSalvage:
     """Torn-write recovery: scan_rtb/salvage_rtb recover the valid
-    chunk prefix of damaged traces as files the strict reader accepts."""
+    chunk prefix of damaged traces as files the loader accepts."""
 
     def write_file(self, tmp_path, num_threads=2, chunk_events=32):
         program = Program(
@@ -346,7 +354,7 @@ class TestSalvage:
             len(t.events) for t in program.traces
         )
         salvage_rtb(path)  # in place
-        recovered = load_program_bin(path)  # strict reader accepts it
+        recovered = load_program_bin(path)  # the loader accepts it
         assert recovered.num_threads == program.num_threads
         # every salvaged event is an exact prefix of the original trace
         total = 0
@@ -365,7 +373,7 @@ class TestSalvage:
         dest = tmp_path / "recovered.rtb"
         report = salvage_rtb(path, dest)
         assert not report.ok and report.events > 0
-        # source untouched, destination strict-readable
+        # source untouched, destination loadable
         assert path.read_bytes() == bytes(data)
         recovered = load_program_bin(dest)
         for orig, got in zip(program.traces, recovered.traces):

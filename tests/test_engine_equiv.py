@@ -4,7 +4,8 @@ The batch engine (``repro.core.batch``) promises *byte-identical* output
 to the scalar engine — same stats, same conflict log, same network and
 DRAM accounting — on every program.  This suite is the promise's
 enforcement: every registered workload crossed with every protocol
-(MESI, MOESI, CE, CE+, ARC), plus streamed ``.rtb`` replay, sanitizer-
+(MESI, MOESI, CE, CE+, ARC), plus replay of programs read back from
+multi-chunk ``.rtb`` files, sanitizer-
 armed runs, and hypothesis fuzzing aimed at the classifier's boundary
 conditions (private-to-shared transitions, region edges, chunk edges).
 
@@ -23,7 +24,7 @@ from repro import ProtocolKind, SystemConfig, TraceBuilder
 from repro.core.batch import BatchSimulator
 from repro.core.simulator import Simulator
 from repro.synth.suite import all_workload_names, build_workload
-from repro.trace.binio import BinTraceReader, BinTraceWriter
+from repro.trace.binio import BinTraceWriter, load_program_bin
 from repro.trace.program import Program
 from repro.verify.diffengine import assert_identical, render_result
 
@@ -81,8 +82,9 @@ def test_sanitize_armed_batch(programs, name, proto):
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_streamed_rtb_replay(tmp_path, programs, name):
-    """Batch on a streamed ``.rtb`` cursor (tiny chunks, so runs span
-    chunk edges) must match scalar on the in-memory program."""
+    """Batch on a program read back from a chunk-streamed ``.rtb``
+    (tiny chunks, so every thread spans many that the loader joins)
+    must match scalar on the in-memory program."""
     prog = programs[name]
     path = tmp_path / f"{name}.rtb"
     with BinTraceWriter(
@@ -92,12 +94,7 @@ def test_streamed_rtb_replay(tmp_path, programs, name):
             w.append_trace(tid, trace)
     cfg = PROTOCOL_CFGS["ce+"]
     scalar = render_result(Simulator(cfg, prog).run())
-    reader = BinTraceReader(path)
-    try:
-        streamed = reader.stream_program()
-        batch = render_result(BatchSimulator(cfg, streamed).run())
-    finally:
-        reader.close()
+    batch = render_result(BatchSimulator(cfg, load_program_bin(path)).run())
     assert batch == scalar
 
 
@@ -174,9 +171,9 @@ def test_fuzz_classifier_boundaries(ops0, ops1, syncs):
     chunk=st.integers(4, 48),
 )
 def test_fuzz_chunk_edges(tmp_path_factory, ops0, ops1, chunk):
-    """The same fuzzed programs streamed through ``.rtb`` with a drawn
-    (tiny) chunk size: fast-path runs and contended stretches must hand
-    off correctly across window boundaries at any alignment."""
+    """The same fuzzed programs written through ``.rtb`` with a drawn
+    (tiny) chunk size and read back: the loader must rejoin chunks cut
+    at any alignment into the exact program batch and scalar agree on."""
     prog = _fuzz_program([ops0, ops1], [])
     path = tmp_path_factory.mktemp("rtb") / "fuzz.rtb"
     with BinTraceWriter(path, 2, name="fuzz", chunk_events=chunk) as w:
@@ -184,11 +181,7 @@ def test_fuzz_chunk_edges(tmp_path_factory, ops0, ops1, chunk):
             w.append_trace(tid, trace)
     cfg = PROTOCOL_CFGS["ce+"].with_cores(2)
     scalar = render_result(Simulator(cfg, prog).run())
-    reader = BinTraceReader(path)
-    try:
-        batch = render_result(BatchSimulator(cfg, reader.stream_program()).run())
-    finally:
-        reader.close()
+    batch = render_result(BatchSimulator(cfg, load_program_bin(path)).run())
     assert batch == scalar
 
 

@@ -73,7 +73,7 @@ class TestCaptureExamples:
 
     def test_workqueue(self, capsys):
         out = run_example("capture/workqueue.py", [], capsys)
-        assert "streamed replay identical to in-memory replay: True" in out
+        assert "saved replay identical to in-memory replay: True" in out
 
     def test_racy_counter(self, capsys):
         out = run_example("capture/racy_counter.py", [], capsys)

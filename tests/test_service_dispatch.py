@@ -10,12 +10,15 @@ job for the full 30 s.
 
 from __future__ import annotations
 
+import os
 import random
 import sys
+import threading
 import time
 
 import pytest
 
+from repro.harness import executor as executor_mod
 from repro.service import worker as worker_mod
 from repro.service.models import JobSpec, JobState
 from repro.service.queue import JobQueue
@@ -133,3 +136,38 @@ def test_racing_submits_lose_no_wakeup(make_pool, monkeypatch):
         sys.setswitchinterval(interval)
     assert pool.queue.stats().done == 200
     assert pool.executed() == 200  # each job settled exactly once
+
+
+# --------------------------------------------------------------------------
+# one retry budget: the queue's, never the executor's on top of it
+
+
+@pytest.mark.parametrize("retries", [0, 2, 4])
+def test_crashing_job_runs_exactly_the_queue_budget(tmp_path, monkeypatch, retries):
+    """A point that kills its pool worker is a transient failure the
+    queue re-queues; the executor must not retry it as well, or the job
+    would run (retries + 1) times per queue attempt."""
+    runs = tmp_path / "runs"
+
+    def crash(point):  # runs in the forked pool worker
+        fd = os.open(runs, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, b".")
+        os.close(fd)
+        os._exit(1)
+
+    monkeypatch.setattr(executor_mod, "_simulate_point", crash)
+    queue = JobQueue(tmp_path / "q.sqlite", lease_seconds=30.0, max_attempts=3)
+    store = TraceStore.open(tmp_path / "traces")
+    worker = Worker(0, queue, store, tmp_path / "cache", threading.Event())
+    record, _ = queue.submit(JobSpec(
+        kind="simulate", workload="lock-counter", threads=2, scale=0.03,
+        protocols=("mesi",), timeout=30.0, retries=retries,
+    ))
+    try:
+        while (claimed := queue.claim(worker.worker_id)) is not None:
+            worker.run_one(claimed)
+        final = queue.get(record.id)
+    finally:
+        queue.close()
+    assert final.state is JobState.FAILED
+    assert len(runs.read_bytes()) == max(3, retries + 1) == final.attempts

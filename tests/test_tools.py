@@ -29,18 +29,11 @@ class TestLoadTarget:
         assert program.name == "lock-counter"
         assert program.num_threads == 4
 
-    def test_from_npz(self, tmp_path):
-        original = build_workload("false-sharing", num_threads=4, seed=1, scale=0.05)
-        path = tmp_path / "wl.npz"
-        save_program(original, path)
-        loaded = load_target(str(path), 99, 99, 99.0)  # params ignored for files
-        assert loaded.num_threads == 4
-
     def test_from_rtb(self, tmp_path):
         original = build_workload("false-sharing", num_threads=4, seed=1, scale=0.05)
         path = tmp_path / "wl.rtb"
         save_program(original, path)
-        loaded = load_target(str(path), 99, 99, 99.0)
+        loaded = load_target(str(path), 99, 99, 99.0)  # params ignored for files
         assert loaded.num_threads == 4
         assert loaded.name == "false-sharing"
 
