@@ -58,8 +58,6 @@ COMMANDS: dict[str, tuple[str, str]] = {
                 "happens-before races and lint, no simulation"),
     "staticlint": ("repro.tools.staticlint:main",
                    "source-level conflict analysis of capture programs"),
-    "protover": ("repro.tools.protover_cli:main",
-                 "symbolic protocol verifier"),
     "modelcheck": ("repro.tools.modelcheck_cli:main",
                    "exhaustive bounded model check of the protocols"),
     "detlint": ("repro.tools.detlint:main",

@@ -1,9 +1,11 @@
 """Protocol model checker and coherence invariant sanitizer.
 
 Exhaustively explores every interleaving of small bounded workloads on
-the *real* protocol classes, checking a declarative invariant suite at
-every reachable state and cross-checking detection against the
-happens-before oracle on every complete interleaving; the sanitizer
+the *real* protocol classes, checking a declarative invariant suite
+(refinement of CE against a lockstep MESI twin and of CE+ against a CE
+twin included) at every reachable state and cross-checking detection
+against the happens-before oracle on every complete interleaving;
+:data:`MUTATIONS` is the catalogue of seeded defects; the sanitizer
 runs the suite's line- and core-scoped checks after every dispatch of
 full-size runs (``run.py --sanitize``).  See ``docs/MODELCHECK.md``.
 """
@@ -19,6 +21,7 @@ from .explorer import (
     explore_workload,
 )
 from .invariants import INVARIANTS, Invariant, Violation, check_state
+from .mutations import MUTATIONS, Mutation
 from .sanitize import arm_protocol
 from .shrink import minimize, parse_trace, render_trace, replay_trace
 from .workload import (
@@ -41,7 +44,9 @@ __all__ = [
     "INVARIANTS",
     "Invariant",
     "MCEvent",
+    "MUTATIONS",
     "ModelCheckResult",
+    "Mutation",
     "PROTOCOL_KEYS",
     "Run",
     "SOUNDNESS",

@@ -26,6 +26,11 @@ invalidation every cached copy must always be current.  ARC legally
 holds stale copies mid-region, so its value semantics are checked
 structurally (self-invalidation/self-downgrade invariants) plus the
 oracle equivalence, not through the ghost.
+
+A CE or CE+ run also steps a lockstep *twin*: the protocol it must
+refine (MESI for CE, CE for CE+) on the same machine, events and
+mutation.  The ``refinement`` invariant compares the two after every
+step; the twin stays out of the snapshot fingerprint.
 """
 
 from __future__ import annotations
@@ -34,12 +39,21 @@ from ..common.bitops import byte_mask
 from ..common.config import AimConfig, CacheConfig, ProtocolKind, SystemConfig
 from ..core.machine import Machine
 from ..protocols import make_protocol
+from ..protocols.base import CoherenceProtocol
 from ..trace.events import READ, WRITE
 from ..verify.recorder import ScheduleRecorder
 from .workload import ACCESS_SIZE, MCEvent
 
 #: cycles between scripted steps (room for distinct start/end stamps)
 CYCLE_STRIDE = 64
+
+#: the refinement theorems: a protocol -> the protocol it must refine.
+#: CE is MESI plus detection, CE+ is CE plus an AIM (the ``refinement``
+#: invariant compares each run with a lockstep twin of the lower one).
+REFINES: dict[ProtocolKind, ProtocolKind] = {
+    ProtocolKind.CE: ProtocolKind.MESI,
+    ProtocolKind.CEPLUS: ProtocolKind.CE,
+}
 
 #: CLI/driver protocol keys -> (ProtocolKind, AIM override).  ``aim`` is
 #: CE+ with a deliberately tiny AIM so the bounded workloads overflow it
@@ -77,13 +91,15 @@ def modelcheck_config(protocol: str, cores: int) -> SystemConfig:
 
 
 class Run:
-    """One in-flight interleaving: protocol + recorder + ghost memory."""
+    """One in-flight interleaving: protocol + recorder + ghost memory,
+    plus the lockstep ``twin`` of the protocol it refines (or None)."""
 
     __slots__ = (
         "cfg",
         "cores",
         "machine",
         "protocol",
+        "twin",
         "recorder",
         "amap",
         "steps_done",
@@ -94,7 +110,9 @@ class Run:
         "boundaries",
     )
 
-    def __init__(self, cfg: SystemConfig, cores: int, mutate=None):
+    def __init__(
+        self, cfg: SystemConfig, cores: int, mutate=None, refine: bool = True
+    ):
         self.cfg = cfg
         self.cores = cores
         self.machine = Machine(cfg)
@@ -102,6 +120,15 @@ class Run:
         self.protocol.active_cores = cores
         if mutate is not None:
             mutate(self.protocol)
+        # Same events, same mutation, no recorder: the twin is never
+        # fingerprinted, only compared (invariants.check_refinement).
+        self.twin: CoherenceProtocol | None = None
+        low = REFINES.get(cfg.protocol) if refine else None
+        if low is not None:
+            self.twin = make_protocol(Machine(cfg.with_protocol(low)))
+            self.twin.active_cores = cores
+            if mutate is not None:
+                mutate(self.twin)
         self.recorder = ScheduleRecorder()
         self.amap = self.machine.amap
         self.steps_done = 0
@@ -138,12 +165,16 @@ class Run:
                 is_write,
             )
             protocol.access(core, addr, ACCESS_SIZE, is_write, cycle)
+            if self.twin is not None:
+                self.twin.access(core, addr, ACCESS_SIZE, is_write, cycle)
             if self.track_values:
                 self._update_ghost(core, line, is_write, cached_before)
         else:
             old_region = protocol.region[core]
             self.recorder.record_region_end(core, old_region, cycle)
             protocol.region_boundary(core, cycle, event.kind)
+            if self.twin is not None:
+                self.twin.region_boundary(core, cycle, event.kind)
             self.recorder.record_region_start(
                 core, protocol.region[core], cycle
             )
@@ -201,12 +232,14 @@ class Driver:
         self.cfg = modelcheck_config(protocol, cores)
         self.mutate = mutate
 
-    def new_run(self) -> Run:
-        return Run(self.cfg, self.cores, mutate=self.mutate)
+    def new_run(self, refine: bool = True) -> Run:
+        """A fresh run; ``refine=False`` leaves out the lockstep twin
+        (the oracle pass checks detection, not refinement)."""
+        return Run(self.cfg, self.cores, mutate=self.mutate, refine=refine)
 
-    def replay(self, steps) -> Run:
+    def replay(self, steps, refine: bool = True) -> Run:
         """Fresh run with ``steps`` (a sequence of (core, event)) applied."""
-        run = self.new_run()
+        run = self.new_run(refine)
         for core, event in steps:
             run.step(core, event)
         return run

@@ -229,7 +229,7 @@ def _oracle_violation(
     kind: ProtocolKind,
 ) -> tuple[str, str, Steps] | None:
     steps = _steps_for(workload, path)
-    run = driver.replay(steps)
+    run = driver.replay(steps, refine=False)
     run.finalize()
     detected = detected_keys(run.protocol.stats.conflicts)
     must, may = expected_conflicts(run.recorder, kind)
@@ -271,7 +271,7 @@ def _reproduces_state(driver: Driver, invariant: str):
 
 def _reproduces_oracle(driver: Driver, invariant: str, kind: ProtocolKind):
     def predicate(steps: Steps) -> bool:
-        run = driver.replay(steps)
+        run = driver.replay(steps, refine=False)
         run.finalize()
         detected = detected_keys(run.protocol.stats.conflicts)
         must, may = expected_conflicts(run.recorder, kind)

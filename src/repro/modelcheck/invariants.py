@@ -12,20 +12,20 @@ the narrowest scope that decides it:
   CE spill log is empty after the boundary (part of CE liveness), and
   ARC's boundary flushes;
 * **state** — ``check(run)``: invariants that need the driver's ghost
-  state or a whole-machine view (state lattice, ghost values, AIM
-  geometry, region counts).
+  state, its lockstep twin or a whole-machine view (state lattice,
+  ghost values, AIM geometry, region counts, and refinement: a CE run
+  steps as its MESI twin does, a CE+ run as its CE twin does).
 
 Two consumers loop these functions:
 
-* :func:`check_state` — the explorer's (and the protover sweep's)
-  whole-state check — runs every applicable line check over every line
-  the state mentions, every core check over every core, and every state
-  check;
+* :func:`check_state` — the explorer's whole-state check — runs every
+  applicable line check over every line the state mentions, every core
+  check over every core, and every state check;
 * the sanitizer (:mod:`repro.modelcheck.sanitize`) runs the line checks
   on the line each access touched and the core checks on the core whose
   boundary just ran.
 
-``docs/MODELCHECK.md``'s catalogue is generated from :data:`INVARIANTS`.
+``docs/MODELCHECK.md``'s catalogue lists :data:`INVARIANTS`.
 Applicability is duck-typed on protocol structure (``directory`` for
 the MESI family, ``meta_table`` for CE/CE+, ``aim`` for CE+,
 ``owner_table`` for ARC) so the module imports no protocol class.
@@ -408,6 +408,83 @@ def check_region_counts(run: "Run") -> list[Violation]:
     return violations
 
 
+#: coherence-action counters a refining protocol must reproduce
+COHERENCE_COUNTERS = (
+    "l1_hits", "l1_misses", "l1_evictions", "l1_writebacks",
+    "llc_hits", "llc_misses", "dir_lookups",
+    "invalidations_sent", "forwards", "upgrades", "downgrade_writebacks",
+)
+#: also reproduced by CE+ over CE: the metadata *content* path
+METADATA_COUNTERS = (
+    "metadata_spills", "metadata_fills", "metadata_checks",
+    "metadata_clears",
+)
+
+
+def _visible(protocol, metadata: bool) -> dict[str, object]:
+    """The outcome a lower protocol can see, by component: every cached
+    line's state (plus masks and region tag when ``metadata``), the
+    directory, the counters, and with ``metadata`` the spilled entries,
+    the spill logs and the reported conflicts."""
+    out: dict[str, object] = {}
+    for core, cache in enumerate(protocol.l1):
+        out[f"core {core} L1"] = sorted(
+            (line, STATE_NAMES[p.state])
+            + ((p.read_mask, p.write_mask, p.region) if metadata else ())
+            for line, p in cache.items()
+        )
+    out["directory"] = sorted(
+        (line, entry.owner, entry.sharers)
+        for line, entry in protocol.directory.items()
+        if entry.owner != -1 or entry.sharers
+    )
+    counters: tuple[str, ...] = COHERENCE_COUNTERS
+    if metadata:
+        out["spilled metadata"] = sorted(
+            (line, core, entry.read_mask, entry.write_mask, entry.region)
+            for line, core, entry in protocol.meta_table.items()
+        )
+        out["spill logs"] = [sorted(log) for log in protocol.spill_log]
+        out["conflicts"] = sorted(
+            (r.line_addr, r.byte_mask, r.first_core, r.first_region,
+             r.second_core, r.second_region, r.detected_by)
+            for r in protocol.stats.conflicts
+        )
+        counters += METADATA_COUNTERS
+    stats = protocol.stats
+    out.update((name, getattr(stats, name)) for name in counters)
+    return out
+
+
+def check_refinement(run: "Run") -> list[Violation]:
+    """CE refines MESI and CE+ refines CE, step by step.
+
+    The run's lockstep twin executes the same events (and the same
+    mutation) on the protocol the run's protocol must refine.  After
+    every step the twin's visible outcome must be reproduced exactly:
+    for a MESI twin the coherence decisions (line states, directory,
+    coherence counters), for a CE twin also the masks, region tags,
+    spilled metadata, spill logs, conflicts and metadata counters —
+    everything but where CE+ keeps the metadata (the ``aim_*`` family).
+    """
+    twin = run.twin
+    if twin is None:
+        return []
+    metadata = _is_ce_family(twin)
+    mine = _visible(run.protocol, metadata)
+    theirs = _visible(twin, metadata)
+    diverged = [name for name in mine if mine[name] != theirs[name]]
+    if not diverged:
+        return []
+    return [Violation(
+        "refinement",
+        f"diverges from its {twin.name} twin: "
+        + "; ".join(
+            f"{name} {mine[name]} vs {theirs[name]}" for name in diverged
+        ),
+    )]
+
+
 # --------------------------------------------------------------------------
 # registry
 # --------------------------------------------------------------------------
@@ -467,6 +544,11 @@ INVARIANTS: tuple[Invariant, ...] = (
         "region-count",
         "region indices advance by exactly one per boundary event",
     ),
+    Invariant(
+        "refinement",
+        "CE steps exactly as MESI does and CE+ exactly as CE does on "
+        "everything the lower protocol can see",
+    ),
 )
 
 _RANK = {invariant.name: rank for rank, invariant in enumerate(INVARIANTS)}
@@ -503,6 +585,7 @@ STATE_CHECKS: tuple[tuple[Callable, Callable], ...] = (
     (_is_mesi_family, check_ghost_values),
     (_has_aim, check_aim_inclusion),
     (lambda protocol: True, check_region_counts),
+    (_is_ce_family, check_refinement),
 )
 
 

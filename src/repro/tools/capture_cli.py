@@ -29,6 +29,7 @@ from ..cli import (
     program_from_args,
 )
 from ..common.config import SystemConfig
+from ..common.errors import ConfigError
 from ..core.api import ALL_PROTOCOLS, run_program
 from ..harness.tables import TextTable
 from ..synth.base import generate
@@ -39,7 +40,7 @@ from ..trace.program import Program
 def _capture(args: argparse.Namespace) -> Program:
     if args.target not in CAPTURE_WORKLOADS:
         known = ", ".join(sorted(CAPTURE_WORKLOADS))
-        raise SystemExit(
+        raise ConfigError(
             f"unknown capture workload {args.target!r} (known: {known})"
         )
     return generate(
@@ -58,7 +59,7 @@ def _load_or_capture(args: argparse.Namespace) -> Program:
 def cmd_capture(args: argparse.Namespace) -> int:
     out = Path(args.output)
     if out.suffix != BIN_SUFFIX:
-        raise SystemExit(f"output {out.name!r} must end in {BIN_SUFFIX}")
+        raise ConfigError(f"output {out.name!r} must end in {BIN_SUFFIX}")
     program = _capture(args)
     save_program(program, out)
     stats = program.stats()

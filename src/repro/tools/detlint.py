@@ -55,7 +55,7 @@ from ..cli import EXIT_FINDINGS, add_format, emit
 
 #: checked by default: the modules whose control flow decides schedules,
 #: plus the harness and CLI tools whose file sweeps feed reports, plus
-#: the analyzers (statics, protover) whose reports must be reproducible
+#: the static analyzer whose reports must be reproducible
 DEFAULT_PATHS = (
     "src/repro/protocols",
     "src/repro/core",
@@ -63,7 +63,6 @@ DEFAULT_PATHS = (
     "src/repro/harness",
     "src/repro/tools",
     "src/repro/statics",
-    "src/repro/protover",
     "src/repro/service",
 )
 

@@ -46,7 +46,7 @@ from pathlib import Path
 
 from ..cli import EXIT_BROKEN, add_format, emit
 from ..common import durable
-from ..common.errors import TraceError
+from ..common.errors import ConfigError, TraceError
 
 #: default stale-tmp age gate (seconds); mirrors the cache startup GC
 DEFAULT_TMP_AGE = 3600.0
@@ -353,9 +353,9 @@ def fsck_paths(
         elif path.suffix == ".sqlite":
             check_queue_db(path, report, repair)
         else:
-            raise SystemExit(
-                f"repro fsck: {path}: not a directory, .rjl journal, "
-                ".rtb trace or .sqlite queue DB"
+            raise ConfigError(
+                f"{path}: not a directory, .rjl journal, .rtb trace or "
+                ".sqlite queue DB"
             )
     return report
 

@@ -17,6 +17,7 @@ import pytest
 
 from repro.common import durable
 from repro.cli import EXIT_BROKEN
+from repro.common.errors import ConfigError
 from repro.tools.fsck import fsck_paths, main
 from repro.trace.binio import load_program_bin
 
@@ -104,7 +105,7 @@ class TestCliEdges:
     def test_unknown_file_type_rejected(self, tmp_path):
         stray = tmp_path / "notes.txt"
         stray.write_text("hi")
-        with pytest.raises(SystemExit):
+        with pytest.raises(ConfigError, match="not a directory"):
             main([str(stray)])
 
     def test_clean_tree_exits_zero(self, tmp_path, capsys):

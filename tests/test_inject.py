@@ -1,15 +1,19 @@
 """Metamorphic race-injection tests.
 
 Every conflict-free suite workload, after :func:`inject_race`, must make
-every detector report a conflict — and only on the planted line.
+every detector report a conflict — and only on the planted line — and
+the happens-before analyzer predict exactly one region conflict there.
 """
+
+import functools
 
 import pytest
 
-from repro.common.config import ProtocolKind, SystemConfig
+from repro.common.config import SystemConfig
 from repro.common.errors import TraceError
 from repro.core.api import run_program
 from repro.synth import SUITE, build_workload
+from repro.tools.analyze import analyze_program
 from repro.trace import validate_program
 from repro.verify.inject import inject_race, injected_line
 
@@ -49,6 +53,18 @@ class TestInjectionMechanics:
         assert program.num_events() == before
 
 
+@functools.lru_cache(maxsize=None)
+def predicted_lines(name):
+    """The analyzer's predicted conflict lines, clean and injected
+    (once per workload, not once per detector)."""
+    program = build_workload(name, THREADS, 1, SCALE)
+    return tuple(
+        [c["line"] for c in analyze_program(p, lint=False)["races"][
+            "region_conflicts"]]
+        for p in (program, inject_race(program))
+    )
+
+
 @pytest.mark.parametrize("name", SUITE)
 @pytest.mark.parametrize("proto", DETECTORS)
 class TestEveryWorkloadEveryDetector:
@@ -65,6 +81,8 @@ class TestEveryWorkloadEveryDetector:
         assert result.num_conflicts > 0, (name, proto)
         lines = {c.line_addr for c in result.stats.conflicts}
         assert lines == {line}, (name, proto, lines)
+
+        assert predicted_lines(name) == ([], [line]), name
 
 
 class TestReadVariant:

@@ -2,9 +2,9 @@
 
 The headline assertions mirror the merge gate: every protocol's bounded
 state space is exhausted with zero violations, and the seeded protocol
-mutations of :data:`repro.protover.MUTATIONS` (applied per instance)
-produce minimized, replayable counterexample traces naming the
-violated invariant.
+mutations of :data:`repro.modelcheck.MUTATIONS` (applied per
+instance) produce minimized, replayable counterexample traces naming
+the violated invariant.
 """
 
 import functools
@@ -17,6 +17,7 @@ from repro.core.simulator import Simulator
 from repro.common.config import SystemConfig
 from repro.modelcheck import (
     COMPLETENESS,
+    MUTATIONS,
     SOUNDNESS,
     Driver,
     check_protocol,
@@ -29,7 +30,6 @@ from repro.modelcheck import (
 )
 from repro.modelcheck.workload import MCEvent, curated_scenarios, enumerate_workloads
 from repro.protocols import make_protocol
-from repro.protover import MUTATIONS
 from repro.trace import Program, TraceBuilder
 from repro.trace.events import ACQUIRE, READ, RELEASE, WRITE
 from repro.verify.oracle import detected_keys, expected_conflicts
@@ -42,7 +42,7 @@ def first_counterexample(name):
     """The model checker's first counterexample against one mutation."""
     mutation = MUTATIONS[name]
     result = check_protocol(
-        mutation.replay_key, fail_fast=True, mutate=mutation.dynamic
+        mutation.key, fail_fast=True, mutate=mutation.dynamic
     )
     assert not result.ok
     return result.counterexamples[0]
@@ -88,7 +88,7 @@ class TestMutations:
         assert 0 < len(ce.minimized) <= len(ce.steps)
         # the rendered trace replays to the same violation
         run = replay_trace(
-            mutation.replay_key, 2, 2, ce.trace, mutate=mutation.dynamic
+            mutation.key, 2, 2, ce.trace, mutate=mutation.dynamic
         )
         if ce.invariant in (SOUNDNESS, COMPLETENESS):
             run.finalize()
@@ -114,6 +114,32 @@ class TestMutations:
     def test_arc_skipped_self_invalidation_is_caught(self):
         ce = first_counterexample("skip-self-invalidation")
         assert ce.invariant == "arc-boundary"
+
+    def test_ce_stale_epoch_is_incomplete(self):
+        assert first_counterexample("stale-epoch").invariant == COMPLETENESS
+
+    def test_arc_forgotten_region_ends_are_incomplete(self):
+        ce = first_counterexample("arc-forget-ends")
+        assert ce.invariant == COMPLETENESS
+
+    def test_ce_boundary_drop_breaks_refinement(self):
+        """Coherent, so only the lockstep MESI twin sees it."""
+        ce = first_counterexample("ce-boundary-drop")
+        assert MUTATIONS["ce-boundary-drop"].key == "ce"
+        assert ce.invariant == "refinement"
+        assert "mesi twin" in ce.message
+
+    def test_mutations_follow_the_class_they_edit(self):
+        """A twin runs a mutation only where the source would have it:
+        a CE defect leaves the MESI twin alone, a MESI one does not."""
+        run = Driver("ce", 2, 2, mutate=MUTATIONS["blind-detection"].dynamic
+                     ).new_run()
+        assert "_check_remote" in vars(run.protocol)
+        assert "_check_remote" not in vars(run.twin)
+        run = Driver(
+            "ce", 2, 2, mutate=MUTATIONS["skip-invalidations"].dynamic
+        ).new_run()
+        assert "_invalidate_sharers" in vars(run.twin)
 
     def test_minimized_traces_are_one_minimal(self):
         """No single further deletion of a minimized trace reproduces."""

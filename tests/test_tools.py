@@ -318,7 +318,14 @@ class TestCommandSurface:
         (["analyze", "no-such-workload"], "unknown workload 'no-such-workload'"),
         (["inspect", "lock-counter", "--param", "oops"], "bad --param 'oops'"),
         (["dump", __file__], "not a repro trace"),
-    ], ids=["unknown-workload", "malformed-param", "not-a-trace"])
+        (["capture", "capture", "no-such", "-o", "never-written.rtb"],
+         "unknown capture workload 'no-such'"),
+        (["capture", "capture", "capture-histogram", "-o", "trace.npz"],
+         "output 'trace.npz' must end in .rtb"),
+        (["fsck", __file__], "not a directory, .rjl journal"),
+    ], ids=["unknown-workload", "malformed-param", "not-a-trace",
+            "capture-unknown-workload", "capture-not-rtb",
+            "fsck-unknown-path-type"])
     def test_bad_input_is_one_line_exit_2(self, argv, message, capsys):
         assert repro_main(argv) == 2
         err = capsys.readouterr().err
@@ -340,7 +347,7 @@ class TestCommandSurface:
         and a run whose points all hit the cache must not load NumPy or
         the simulation stack either."""
         heavy = (
-            "repro.cli", "repro.tools", "repro.statics", "repro.protover",
+            "repro.cli", "repro.tools", "repro.statics",
             "repro.modelcheck", "repro.service", "repro.capture", "numpy",
             "repro.core.batch", "repro.core.simulator", "repro.protocols",
             "repro.trace.builder", "repro.synth.patterns",
