@@ -2,7 +2,7 @@
 
 The brute-force ground truth needs a full simulation (to record the
 schedule) plus the quadratic region-overlap scan in
-``verify.oracle.overlap_conflicts``.  The static analyzer answers the
+``core.oracle.overlap_conflicts``.  The static analyzer answers the
 same question — which region pairs can conflict — directly from the
 trace, schedule-free.  This benchmark times both on a large racy
 synthetic trace and asserts the analyzer is at least 5x faster, while
@@ -19,9 +19,9 @@ import time
 
 from repro.analysis import build_hb, region_conflicts
 from repro.common.config import SystemConfig
+from repro.core.oracle import ScheduleRecorder, overlap_conflicts
 from repro.core.simulator import Simulator
 from repro.synth import build_workload
-from repro.verify import ScheduleRecorder, overlap_conflicts
 
 WORKLOAD = "racy-writers"
 THREADS = 8

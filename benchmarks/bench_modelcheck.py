@@ -22,7 +22,7 @@ of the verification layers: for every mutation of
 that inherits the mutated class, the invariant of the first
 counterexample (``null`` when the mutant survives) and the fail-fast
 search time; the clean gate's states and time per key; and the
-planted-race row (``verify.inject`` over the paper suite: the
+planted-race row (``synth.racy.inject_race`` over the paper suite: the
 analyzer's predicted conflicts and each detector's reports, clean and
 injected).  Keys the run does not produce (the one-time measurements
 of the retired symbolic verifier, the known gaps) are kept as
@@ -46,9 +46,9 @@ from repro.modelcheck.mutations import MUTATIONS
 from repro.modelcheck.workload import MCEvent
 from repro.protocols import PROTOCOL_CLASSES
 from repro.synth import SUITE, build_workload
+from repro.synth.racy import inject_race, injected_line
 from repro.tools.analyze import analyze_program
 from repro.trace.events import READ, WRITE
-from repro.verify.inject import inject_race, injected_line
 
 WORKLOAD = "racy-writers"
 THREADS = 4

@@ -27,9 +27,9 @@ import time
 
 from repro import ProtocolKind, SystemConfig
 from repro.core.batch import BatchSimulator
+from repro.core.results import render_result
 from repro.core.simulator import Simulator
 from repro.synth.suite import build_workload
-from repro.verify.diffengine import render_result
 
 DEFAULT_FLOOR = 5.0
 

@@ -17,9 +17,9 @@ Run:  python examples/capture/racy_counter.py
 """
 
 from repro.common.config import SystemConfig
+from repro.core.oracle import ScheduleRecorder, detected_keys, overlap_conflicts
 from repro.core.simulator import Simulator
 from repro.synth import build_workload
-from repro.verify import ScheduleRecorder, detected_keys, overlap_conflicts
 
 
 def main() -> None:

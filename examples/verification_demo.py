@@ -15,17 +15,16 @@ Run:  python examples/verification_demo.py
 """
 
 from repro import SystemConfig
-from repro.core.simulator import Simulator
-from repro.synth import build_workload
-from repro.verify import (
+from repro.core.oracle import (
     ScheduleRecorder,
     ce_conflicts,
     detected_keys,
-    inject_race,
-    injected_line,
     overlap_conflicts,
-    summary_table,
 )
+from repro.core.simulator import Simulator
+from repro.synth import build_workload
+from repro.synth.racy import inject_race, injected_line
+from repro.tools.view import summary_table
 
 THREADS = 4
 DETECTORS = ("ce", "ce+", "arc")

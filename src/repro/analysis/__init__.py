@@ -10,7 +10,7 @@ questions the simulator answers slowly:
   queries;
 * :mod:`~repro.analysis.regions` — those races lifted to SFR
   region-pair conflicts, keyed identically to
-  :func:`repro.verify.oracle.overlap_conflicts` and the detectors'
+  :func:`repro.core.oracle.overlap_conflicts` and the detectors'
   conflict records, so all three are set-comparable;
 * :mod:`~repro.analysis.lint` — static lint over traces and
   :class:`~repro.common.config.SystemConfig` combinations, each rule

@@ -23,7 +23,7 @@ schedule — it is a region-conflict race in the paper's region-overlap
 semantics.  Two soundness theorems relate this to the run-time oracles
 (proved in docs/ANALYSIS.md, enforced by tests/test_analysis_oracle.py):
 
-* every conflict in :func:`repro.verify.oracle.overlap_conflicts` of
+* every conflict in :func:`repro.core.oracle.overlap_conflicts` of
   *any* recorded run is an HB race reported here (same region-pair key);
 * every conflict any detector (CE, CE+, ARC) reports is an HB race.
 

@@ -1,7 +1,7 @@
 """Lift byte-level HB races to SFR region-pair conflicts.
 
 The output is keyed exactly like the run-time oracle
-(:mod:`repro.verify.oracle`) and the detectors' conflict records:
+(:mod:`repro.core.oracle`) and the detectors' conflict records:
 ``(line, first_core, first_region, second_core, second_region)`` with
 ``(first_core, first_region) <= (second_core, second_region)`` — so the
 three sources are directly set-comparable.  The containment invariants
@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.oracle import ConflictKey
 from ..trace.program import Program
-from ..verify.oracle import ConflictKey
 from .hb import HbIndex, iter_access_races
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
 @dataclass(frozen=True)
 class RegionConflict:
     """One predicted region-pair conflict (mirror of
-    :class:`repro.verify.oracle.OracleConflict`)."""
+    :class:`repro.core.oracle.OracleConflict`)."""
 
     line: int
     first_core: int

@@ -1,4 +1,6 @@
-"""Simulator core: machine wiring, engine, stats, results, public API.
+"""Simulator core: machine wiring, engine, stats, results, the
+ground-truth conflict oracle, public API.
 
 The package itself imports nothing: the harness reads results
-(``core.results``, ``core.stats``) without loading the engine."""
+(``core.results``, ``core.stats``) and the analyzers key conflicts with
+the oracle (``core.oracle``) without loading the engine."""

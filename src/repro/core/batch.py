@@ -47,9 +47,10 @@ windows:
   private-to-shared recovery reads the previous owner's live masks, so
   those accesses stay scalar until the transition lands.
 
-``tests/test_engine_equiv.py`` + :mod:`repro.verify.diffengine` enforce
-the guarantee across every registered workload and protocol;
-docs/ENGINE.md walks through the argument and the debugging workflow.
+``tests/test_engine_equiv.py`` enforces the guarantee across every
+registered workload and protocol by diffing
+:func:`~repro.core.results.render_result` renderings; docs/ENGINE.md
+walks through the argument and the debugging workflow.
 """
 
 from __future__ import annotations

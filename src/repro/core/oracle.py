@@ -1,8 +1,14 @@
-"""Ground-truth region conflict oracles.
+"""Schedule recording and the ground-truth region conflict oracles.
 
-Given a :class:`~repro.verify.recorder.ScheduleRecorder` log of one
-run, the oracles compute — by brute force, with no protocol machinery —
-which region pairs conflicted under two definitions:
+When a :class:`~repro.core.simulator.Simulator` is created with
+``recorder=ScheduleRecorder()``, the engine logs every data access
+(core, issue cycle, region index, line, byte mask, kind) and every
+region boundary (core, cycle).  The log captures *what actually
+happened in this run's schedule*, independent of how the protocol under
+test detects conflicts.
+
+From that log the oracles compute — by brute force, with no protocol
+machinery — which region pairs conflicted under two definitions:
 
 * :func:`overlap_conflicts` — **region-overlap** semantics: two accesses
   to overlapping bytes, at least one a write, whose regions' time
@@ -23,14 +29,84 @@ The verification property the test suite checks on recorded runs:
 (CE's own reports can be a proper subset of ``ce_conflicts`` only by
 scheduling skew of a few cycles; on programs with clean timing they
 match.)
+
+The module imports nothing from the engine, so the static analyzer and
+the model checker key their conflicts with it without loading the
+simulator.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .recorder import RecordedAccess, ScheduleRecorder
+from ..common.config import ProtocolKind
+
+
+@dataclass(frozen=True)
+class RecordedAccess:
+    core: int
+    cycle: int
+    region: int
+    line: int
+    mask: int
+    is_write: bool
+
+
+@dataclass
+class RegionInterval:
+    """One region's lifetime: [start, end); end is None while open."""
+
+    core: int
+    region: int
+    start: int
+    end: int | None = None
+
+    def overlaps(self, other: "RegionInterval") -> bool:
+        """Closed-open interval overlap; open regions extend to +inf."""
+        self_end = self.end if self.end is not None else float("inf")
+        other_end = other.end if other.end is not None else float("inf")
+        return self.start < other_end and other.start < self_end
+
+
+@dataclass
+class ScheduleRecorder:
+    """Collects one run's accesses and region intervals."""
+
+    accesses: list[RecordedAccess] = field(default_factory=list)
+    _intervals: dict[tuple[int, int], RegionInterval] = field(default_factory=dict)
+
+    def record_access(
+        self, core: int, cycle: int, region: int, line: int, mask: int, is_write: bool
+    ) -> None:
+        self.accesses.append(
+            RecordedAccess(core, cycle, region, line, mask, is_write)
+        )
+        key = (core, region)
+        if key not in self._intervals:
+            # region started no later than its first recorded access
+            self._intervals[key] = RegionInterval(core, region, start=0)
+
+    def record_region_start(self, core: int, region: int, cycle: int) -> None:
+        self._intervals.setdefault(
+            (core, region), RegionInterval(core, region, start=cycle)
+        ).start = cycle
+
+    def record_region_end(self, core: int, region: int, cycle: int) -> None:
+        interval = self._intervals.setdefault(
+            (core, region), RegionInterval(core, region, start=0)
+        )
+        interval.end = cycle
+
+    def interval(self, core: int, region: int) -> RegionInterval:
+        """The recorded interval (regions never entered default to empty)."""
+        return self._intervals.get(
+            (core, region), RegionInterval(core, region, start=0)
+        )
+
+    def intervals(self) -> list[RegionInterval]:
+        return list(self._intervals.values())
+
 
 #: a conflicting region pair, normalized: (line, coreA, regionA, coreB, regionB)
 #: with (coreA, regionA) < (coreB, regionB)
@@ -167,8 +243,6 @@ def expected_conflicts(
       are region-serializable anyway.  docs/MODELCHECK.md shows the
       three-step counterexample.
     """
-    from ..common.config import ProtocolKind
-
     kind = ProtocolKind(protocol) if not isinstance(protocol, ProtocolKind) else protocol
     if kind is ProtocolKind.MESI:
         return set(), set()

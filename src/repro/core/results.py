@@ -167,3 +167,42 @@ def geomean(values: list[float]) -> float:
     for v in values:
         product *= v
     return product ** (1.0 / len(values))
+
+
+def render_result(result: RunResult) -> str:
+    """Canonical text rendering of everything a run measured.
+
+    The byte-identity measuring stick: the summary metrics, every
+    ``Stats`` field, the network/DRAM accounting and the full conflict
+    log.  Deterministic by construction: fixed field order (dataclass
+    order for ``Stats``, sorted keys for the summary), ``repr`` for
+    floats so no rounding can mask a divergence.  The service renders
+    its ``simulate``/``compare`` results with it, and
+    ``tests/golden/point_digests.json`` pins its digest per point.
+    """
+    lines = [
+        f"program: {result.program_name}",
+        f"protocol: {result.cfg.protocol.value}",
+    ]
+    for key in sorted(result.summary()):
+        lines.append(f"summary.{key}: {result.summary()[key]!r}")
+    for name in Stats.__dataclass_fields__:
+        if name == "conflicts":
+            continue
+        lines.append(f"stats.{name}: {getattr(result.stats, name)!r}")
+    for cat, hops in sorted(result.flit_hops_by_category().items()):
+        lines.append(f"net.flit_hops.{cat}: {hops}")
+    lines.append(f"net.peak_link_utilization: {result.net.peak_link_utilization!r}")
+    lines.append(f"net.saturated_link_windows: {result.net.saturated_link_windows}")
+    lines.append(f"dram.total_bytes: {result.dram.total_bytes}")
+    lines.append(f"dram.metadata_bytes: {result.dram.metadata_bytes}")
+    lines.append(f"conflicts: {len(result.stats.conflicts)}")
+    for i, c in enumerate(result.stats.conflicts):
+        lines.append(
+            f"conflict[{i}]: cycle={c.cycle} line={c.line_addr:#x} "
+            f"mask={c.byte_mask:#x} first={c.first_core}@{c.first_region}"
+            f"{'W' if c.first_was_write else 'R'} "
+            f"second={c.second_core}@{c.second_region}"
+            f"{'W' if c.second_was_write else 'R'} by={c.detected_by}"
+        )
+    return "\n".join(lines) + "\n"

@@ -73,7 +73,7 @@ class _BarrierEpisode:
 class Simulator:
     """Runs one :class:`Program` on one :class:`SystemConfig`.
 
-    Pass a :class:`~repro.verify.recorder.ScheduleRecorder` as
+    Pass a :class:`~repro.core.oracle.ScheduleRecorder` as
     ``recorder`` to log the run's accesses and region intervals for the
     ground-truth conflict oracles (small runs only — recording every
     access is memory-proportional to the trace).

@@ -2,7 +2,7 @@
 
 The driver owns everything one exploration step needs — a fresh
 :class:`~repro.core.machine.Machine`, the protocol under test, a
-:class:`~repro.verify.recorder.ScheduleRecorder` and a ghost memory —
+:class:`~repro.core.oracle.ScheduleRecorder` and a ghost memory —
 and executes ``(core, event)`` steps exactly the way the simulator
 would: the access is recorded *before* the protocol sees it, boundaries
 record region end/start around ``region_boundary``.
@@ -38,10 +38,10 @@ from __future__ import annotations
 from ..common.bitops import byte_mask
 from ..common.config import AimConfig, CacheConfig, ProtocolKind, SystemConfig
 from ..core.machine import Machine
+from ..core.oracle import ScheduleRecorder
 from ..protocols import make_protocol
 from ..protocols.base import CoherenceProtocol
 from ..trace.events import READ, WRITE
-from ..verify.recorder import ScheduleRecorder
 from .workload import ACCESS_SIZE, MCEvent
 
 #: cycles between scripted steps (room for distinct start/end stamps)

@@ -17,7 +17,7 @@ merge.
 Every maximal interleaving is replayed end to end with a schedule
 recorder, and the detector's reported conflict set is checked against
 the per-schedule ``(must_detect, may_detect)`` oracle bounds
-(:func:`repro.verify.oracle.expected_conflicts`): exact CE-semantics
+(:func:`repro.core.oracle.expected_conflicts`): exact CE-semantics
 equality for CE/CE+, the ``ce ⊆ detected ⊆ overlap`` sandwich for lazy
 ARC, the empty set for MESI.  Memoization is deliberately *not* used
 here — the oracle is a function of the whole schedule, not of the
@@ -33,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..common.config import ProtocolKind
-from ..verify.oracle import detected_keys, expected_conflicts
+from ..core.oracle import detected_keys, expected_conflicts
 from .driver import Driver
 from .invariants import check_state
 from .shrink import Steps, minimize, render_trace
@@ -336,14 +336,17 @@ def check_protocol(
     driver = Driver(protocol, cores, addrs, mutate=mutate)
     kind = driver.cfg.protocol
 
+    # the curated scenarios go first: each targets one protocol
+    # mechanism, so a broken protocol fails there in a handful of
+    # workloads instead of after hundreds of enumerated ones
     labeled: list[tuple[str, Workload]] = []
+    if include_scenarios:
+        labeled.extend(curated_scenarios(cores, addrs))
     if include_enumerated:
         labeled.extend(
             (workload_label(w), w)
             for w in enumerate_workloads(cores, addrs, script_len)
         )
-    if include_scenarios:
-        labeled.extend(curated_scenarios(cores, addrs))
 
     result = ModelCheckResult(
         protocol=protocol,

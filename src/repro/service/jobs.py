@@ -12,8 +12,8 @@ Simulations run through the executor resilience layer
 (:class:`~repro.harness.executor.Executor`): per-job wall-clock
 timeouts, typed transient retries, and the content-addressed result
 cache all apply exactly as they do to batch sweeps.  Per-protocol
-renderings use :func:`repro.verify.diffengine.render_result`, the same
-canonical form the engine-equivalence suite diffs — so a service result
+renderings use :func:`repro.core.results.render_result`, the same
+canonical form the per-point golden digests pin — so a service result
 is comparable, byte for byte, with any other path through the
 simulator.
 """
@@ -215,7 +215,7 @@ def _run_simulations(
     workload: WorkloadSpec | Program,
     executor: Executor | None,
 ) -> dict:
-    from ..verify.diffengine import render_result
+    from ..core.results import render_result
 
     points = [
         SimPoint(protocol_config(cfg, name), workload)

@@ -33,10 +33,12 @@ durable artifacts (``harness/`` and ``tools/``):
 
 The checker is intentionally conservative: it flags only iterables it
 can *prove* are sets — set literals/comprehensions, ``set()`` /
-``frozenset()`` calls, names and ``self`` attributes assigned or
-annotated as sets in the same module, and subscripts of attributes
-built as lists of sets (the ``[set() for _ in range(n)]`` per-core
-idiom).  A trailing ``# detlint: ok`` comment suppresses a finding.
+``frozenset()`` calls, names assigned or annotated as sets in the
+function that reads them (or at module level, unless the function
+rebinds the name), ``self`` attributes assigned or annotated as sets
+anywhere in the module, and subscripts of attributes built as lists of
+sets (the ``[set() for _ in range(n)]`` per-core idiom).  A trailing
+``# detlint: ok`` comment suppresses a finding.
 
 Usage::
 
@@ -55,7 +57,8 @@ from ..cli import EXIT_FINDINGS, add_format, emit
 
 #: checked by default: the modules whose control flow decides schedules,
 #: plus the harness and CLI tools whose file sweeps feed reports, plus
-#: the static analyzer whose reports must be reproducible
+#: the analyzers and the model checker whose reports must be
+#: reproducible
 DEFAULT_PATHS = (
     "src/repro/protocols",
     "src/repro/core",
@@ -64,6 +67,8 @@ DEFAULT_PATHS = (
     "src/repro/tools",
     "src/repro/statics",
     "src/repro/service",
+    "src/repro/analysis",
+    "src/repro/modelcheck",
 )
 
 PRAGMA = "detlint: ok"
@@ -122,26 +127,43 @@ def _annotation_kind(node: ast.expr | None) -> str | None:
     return None
 
 
-class _SymbolCollector(ast.NodeVisitor):
+def _self_attr(node: ast.expr) -> str | None:
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+class _Scoped(ast.NodeVisitor):
+    """Tracks the enclosing functions (``None`` is the module scope)."""
+
+    def __init__(self) -> None:
+        self.stack: list[ast.AST | None] = [None]
+
+    def visit_FunctionDef(
+        self, node: ast.FunctionDef | ast.AsyncFunctionDef
+    ) -> None:
+        self.stack.append(node)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+
+class _SymbolCollector(_Scoped):
     """First pass: names / self-attributes provably bound to sets."""
 
     def __init__(self) -> None:
-        #: symbol -> 'set' | 'setlist'; symbols are plain names and
-        #: ('self', attr) pairs, module-wide (a deliberate lint-grade
-        #: approximation of scoping)
-        self.kinds: dict[object, str] = {}
-
-    @staticmethod
-    def _symbol(target: ast.expr):
-        if isinstance(target, ast.Name):
-            return target.id
-        if (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
-            return ("self", target.attr)
-        return None
+        super().__init__()
+        #: scope -> name -> 'set' | 'setlist' | None (bound, not a set);
+        #: a set binding anywhere in the scope wins
+        self.names: dict[ast.AST | None, dict[str, str | None]] = {}
+        #: self attribute -> 'set' | 'setlist', module-wide (a deliberate
+        #: lint-grade approximation: any method may assign it)
+        self.attrs: dict[str, str] = {}
 
     def _classify_value(self, value: ast.expr | None) -> str | None:
         if value is None:
@@ -153,9 +175,12 @@ class _SymbolCollector(ast.NodeVisitor):
         return None
 
     def _bind(self, target: ast.expr, kind: str | None) -> None:
-        symbol = self._symbol(target)
-        if symbol is not None and kind is not None:
-            self.kinds[symbol] = kind
+        if isinstance(target, ast.Name):
+            scope = self.names.setdefault(self.stack[-1], {})
+            scope[target.id] = kind or scope.get(target.id)
+        attr = _self_attr(target)
+        if attr is not None and kind is not None:
+            self.attrs[attr] = kind
 
     def visit_Assign(self, node: ast.Assign) -> None:
         kind = self._classify_value(node.value)
@@ -236,12 +261,13 @@ def _bare_write(node: ast.Call) -> str | None:
     return None
 
 
-class _IterationChecker(ast.NodeVisitor):
+class _IterationChecker(_Scoped):
     """Second pass: flag set iteration, id() calls and unsorted fs walks."""
 
-    def __init__(self, filename: str, kinds: dict[object, str]):
+    def __init__(self, filename: str, symbols: _SymbolCollector):
+        super().__init__()
         self.filename = filename
-        self.kinds = kinds
+        self.symbols = symbols
         self.findings: list[Finding] = []
         self.durable_scope = any(
             part in _DURABLE_SCOPES for part in Path(filename).parts
@@ -250,9 +276,16 @@ class _IterationChecker(ast.NodeVisitor):
     def _kind_of(self, node: ast.expr) -> str | None:
         if _is_set_display(node):
             return "set"
-        symbol = _SymbolCollector._symbol(node)
-        if symbol is not None:
-            return self.kinds.get(symbol)
+        if isinstance(node, ast.Name):
+            # the innermost enclosing scope that binds the name decides
+            for scope in reversed(self.stack):
+                names = self.symbols.names.get(scope, {})
+                if node.id in names:
+                    return names[node.id]
+            return None
+        attr = _self_attr(node)
+        if attr is not None:
+            return self.symbols.attrs.get(attr)
         if isinstance(node, ast.Subscript):
             outer = self._kind_of(node.value)
             if outer == "setlist":
@@ -325,7 +358,7 @@ def lint_source(source: str, filename: str) -> list[Finding]:
     tree = ast.parse(source, filename=filename)
     collector = _SymbolCollector()
     collector.visit(tree)
-    checker = _IterationChecker(filename, collector.kinds)
+    checker = _IterationChecker(filename, collector)
     checker.visit(tree)
     source_lines = source.splitlines()
     kept = []

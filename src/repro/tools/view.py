@@ -28,11 +28,14 @@ Usage::
 from __future__ import annotations
 
 import argparse
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..cli import add_target_args, pow2_cores, program_from_args
 from ..common.config import CacheConfig, SystemConfig
+from ..common.errors import ConflictRecord
 from ..core.api import run_program
 from ..core.simulator import Simulator
 from ..harness.tables import TextTable
@@ -44,7 +47,6 @@ from ..trace.events import ACQUIRE, BARRIER, KIND_NAMES, RELEASE, WRITE
 from ..trace.program import Program
 from ..trace.regions import region_ids, region_lengths
 from ..trace.validate import validate_program
-from ..verify.summary import kind_mix, summary_table
 
 HIST_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
@@ -187,6 +189,67 @@ def dump_main(argv: list[str] | None = None) -> int:
 # --------------------------------------------------------------------------
 # conflicts
 # --------------------------------------------------------------------------
+
+
+@dataclass
+class LineSummary:
+    """All conflicts observed on one cache line."""
+
+    line: int
+    count: int = 0
+    kinds: Counter = field(default_factory=Counter)
+    detectors: Counter = field(default_factory=Counter)
+    cores: set[int] = field(default_factory=set)
+    byte_mask: int = 0
+    first_cycle: int | None = None
+
+    def add(self, record: ConflictRecord) -> None:
+        self.count += 1
+        self.kinds[record.kind()] += 1
+        self.detectors[record.detected_by] += 1
+        self.cores.add(record.first_core)
+        self.cores.add(record.second_core)
+        self.byte_mask |= record.byte_mask
+        if self.first_cycle is None or record.cycle < self.first_cycle:
+            self.first_cycle = record.cycle
+
+
+def summarize(conflicts: list[ConflictRecord]) -> dict[int, LineSummary]:
+    """Group conflicts by line."""
+    by_line: dict[int, LineSummary] = {}
+    for record in conflicts:
+        summary = by_line.get(record.line_addr)
+        if summary is None:
+            summary = LineSummary(line=record.line_addr)
+            by_line[record.line_addr] = summary
+        summary.add(record)
+    return by_line
+
+
+def summary_table(conflicts: list[ConflictRecord]) -> TextTable:
+    """Render the per-line conflict report."""
+    table = TextTable(
+        "Region conflicts by line",
+        ["line", "conflicts", "kinds", "cores", "bytes", "first cycle", "via"],
+    )
+    by_line = summarize(conflicts)
+    for line in sorted(by_line):
+        s = by_line[line]
+        table.add_row(
+            f"{line:#x}",
+            s.count,
+            ",".join(f"{k}:{n}" for k, n in sorted(s.kinds.items())),
+            len(s.cores),
+            s.byte_mask.bit_count(),
+            s.first_cycle if s.first_cycle is not None else -1,
+            ",".join(sorted(s.detectors)),
+        )
+    return table
+
+
+def kind_mix(conflicts: list[ConflictRecord]) -> dict[str, int]:
+    """Counts of W-W / R-W / W-R conflicts."""
+    return dict(Counter(record.kind() for record in conflicts))
 
 
 def conflicts_main(argv: list[str] | None = None) -> int:

@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 
 from repro.analysis import conflict_lines, region_conflicts
 from repro.common.config import SystemConfig
+from repro.core.oracle import ScheduleRecorder, detected_keys, overlap_conflicts
 from repro.core.simulator import Simulator
 from repro.synth import RACY_SUITE, SUITE, build_workload
 from repro.synth.base import registered_workloads
 from repro.trace import Program, TraceBuilder
-from repro.verify import ScheduleRecorder, detected_keys, overlap_conflicts
 
 DETECTORS = ("ce", "ce+", "arc")
 #: every registered generator, including the ones outside the two suites

@@ -28,9 +28,9 @@ from repro.core.batch import (
     BatchSimulator,
     classify_program,
 )
+from repro.core.results import render_result
 from repro.core.simulator import Simulator
 from repro.trace.program import Program
-from repro.verify.diffengine import render_result
 
 LINE = 64
 

@@ -25,11 +25,11 @@ from repro.capture import (
 )
 from repro.common.config import SystemConfig
 from repro.core.api import run_program
+from repro.core.oracle import ScheduleRecorder, detected_keys, overlap_conflicts
 from repro.core.simulator import Simulator
 from repro.synth import build_workload
 from repro.trace.events import ACQUIRE, BARRIER, RELEASE
 from repro.trace.validate import validate_program
-from repro.verify import ScheduleRecorder, detected_keys, overlap_conflicts
 
 THREADS = 4
 

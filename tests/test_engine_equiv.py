@@ -9,11 +9,17 @@ multi-chunk ``.rtb`` files, sanitizer-
 armed runs, and hypothesis fuzzing aimed at the classifier's boundary
 conditions (private-to-shared transitions, region edges, chunk edges).
 
-All comparisons go through :mod:`repro.verify.diffengine`, whose
-canonical rendering covers every counter a run produces.
+All comparisons go through :func:`~repro.core.results.render_result`,
+whose canonical rendering covers every counter a run produces;
+:func:`assert_identical` raises with a unified diff naming the first
+divergent quantity.  It is also importable from a REPL to bisect a
+divergence by hand (pair it with ``force_residue_lines`` on
+:class:`~repro.core.batch.BatchSimulator`; docs/ENGINE.md).
 """
 
 from __future__ import annotations
+
+import difflib
 
 import numpy as np
 import pytest
@@ -22,11 +28,11 @@ from hypothesis import strategies as st
 
 from repro import ProtocolKind, SystemConfig, TraceBuilder
 from repro.core.batch import BatchSimulator
+from repro.core.results import render_result
 from repro.core.simulator import Simulator
 from repro.synth.suite import all_workload_names, build_workload
 from repro.trace.binio import BinTraceWriter, load_program_bin
 from repro.trace.program import Program
-from repro.verify.diffengine import assert_identical, render_result
 
 THREADS = 4
 SCALE = 0.1
@@ -44,6 +50,33 @@ PROTOCOL_CFGS = {
 }
 
 WORKLOADS = all_workload_names()
+
+
+def assert_identical(cfg, program, *, sanitize=None, context: str = "") -> str:
+    """Run ``program`` under both engines on fresh simulators and assert
+    byte-identical output; returns the (shared) rendering on success,
+    raises ``AssertionError`` with a unified diff naming the first
+    divergent quantity on failure."""
+    scalar_text = render_result(Simulator(cfg, program, sanitize=sanitize).run())
+    batch_text = render_result(
+        BatchSimulator(cfg, program, sanitize=sanitize).run()
+    )
+    if scalar_text != batch_text:
+        diff = "\n".join(
+            difflib.unified_diff(
+                scalar_text.splitlines(),
+                batch_text.splitlines(),
+                fromfile="scalar",
+                tofile="batch",
+                lineterm="",
+            )
+        )
+        where = f" [{context}]" if context else ""
+        raise AssertionError(
+            f"engine divergence{where}: {program.name} on "
+            f"{cfg.protocol.value}\n{diff}"
+        )
+    return scalar_text
 
 
 @pytest.fixture(scope="module")

@@ -13,9 +13,9 @@ from repro.common.config import SystemConfig
 from repro.common.errors import TraceError
 from repro.core.api import run_program
 from repro.synth import SUITE, build_workload
+from repro.synth.racy import inject_race, injected_line
 from repro.tools.analyze import analyze_program
 from repro.trace import validate_program
-from repro.verify.inject import inject_race, injected_line
 
 THREADS = 4
 SCALE = 0.05

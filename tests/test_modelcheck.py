@@ -13,6 +13,7 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.core.machine import Machine
+from repro.core.oracle import detected_keys, expected_conflicts
 from repro.core.simulator import Simulator
 from repro.common.config import SystemConfig
 from repro.modelcheck import (
@@ -32,7 +33,6 @@ from repro.modelcheck.workload import MCEvent, curated_scenarios, enumerate_work
 from repro.protocols import make_protocol
 from repro.trace import Program, TraceBuilder
 from repro.trace.events import ACQUIRE, READ, RELEASE, WRITE
-from repro.verify.oracle import detected_keys, expected_conflicts
 
 ALL_KEYS = ("mesi", "ce", "ceplus", "aim", "arc")
 
@@ -117,6 +117,17 @@ class TestMutations:
 
     def test_ce_stale_epoch_is_incomplete(self):
         assert first_counterexample("stale-epoch").invariant == COMPLETENESS
+
+    def test_fail_fast_stops_within_the_curated_scenarios(self):
+        """The curated scenarios run before the enumerated workloads, so
+        a mutant one of them exposes stops fail-fast there, not after
+        hundreds of enumerated workloads."""
+        mutation = MUTATIONS["stale-epoch"]
+        result = check_protocol(
+            mutation.key, fail_fast=True, mutate=mutation.dynamic
+        )
+        assert not result.ok
+        assert result.workloads <= len(curated_scenarios(2, 2))
 
     def test_arc_forgotten_region_ends_are_incomplete(self):
         ce = first_counterexample("arc-forget-ends")

@@ -17,14 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import SystemConfig
-from repro.core.simulator import SYNC_OP_CYCLES, Simulator
-from repro.trace import Program, TraceBuilder
-from repro.verify import (
+from repro.core.oracle import (
     ScheduleRecorder,
     ce_conflicts,
     detected_keys,
     overlap_conflicts,
 )
+from repro.core.simulator import SYNC_OP_CYCLES, Simulator
+from repro.trace import Program, TraceBuilder
 
 DETECTORS = ("ce", "ce+", "arc")
 

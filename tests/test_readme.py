@@ -73,3 +73,28 @@ class TestReadmeSnippets:
             words = set(re.findall(r"(?<![\w./-])repro ([a-z][\w-]*)", doc))
             assert words <= set(COMMANDS), (path.name, words - set(COMMANDS))
             assert not RETIRED_SCRIPT.findall(doc), path.name
+
+    def test_mentioned_dotted_names_resolve(self):
+        """Every dotted ``repro.*`` name the docs, CI and the verify
+        notes mention is a module or an attribute of one, so a module
+        that moves cannot leave a stale path behind."""
+        import importlib
+
+        def resolves(name: str) -> bool:
+            parts = name.split(".")
+            for i in range(len(parts), 0, -1):
+                try:
+                    obj = importlib.import_module(".".join(parts[:i]))
+                except ImportError:
+                    continue
+                for attr in parts[i:]:
+                    if not hasattr(obj, attr):
+                        return False
+                    obj = getattr(obj, attr)
+                return True
+            return False
+
+        for path in COMMAND_DOCS:
+            names = set(re.findall(r"(?<![\w.])repro(?:\.\w+)+", path.read_text()))
+            stale = sorted(name for name in names if not resolves(name))
+            assert not stale, (path.name, stale)

@@ -637,7 +637,7 @@ class TestEngineChaos:
         and neither the fault injection nor the resubmission path may
         perturb what the batch engine computes."""
         from repro.common.config import ENGINE_ENV
-        from repro.verify.diffengine import render_result
+        from repro.core.results import render_result
 
         pts = points(4)
         monkeypatch.setenv(ENGINE_ENV, "scalar")

@@ -29,9 +29,9 @@ from repro.analysis.regions import region_conflicts
 from repro.capture.workloads import CAPTURE_WORKLOADS
 from repro.common.config import SystemConfig
 from repro.core.batch import check_static_hint
+from repro.core.oracle import detected_keys
 from repro.core.simulator import Simulator
 from repro.statics import analyze_source, analyze_workload, build_report, diff_dynamic
-from repro.verify import detected_keys
 
 DETECTORS = ("ce", "ce+", "arc")
 CAPTURE_NAMES = tuple(sorted(CAPTURE_WORKLOADS))

@@ -7,8 +7,7 @@ from repro.common.errors import ConflictRecord
 from repro.core.api import run_program
 from repro.harness.multiseed import SeedStats, aggregate_normalized, multiseed_table
 from repro.synth import build_workload
-from repro.tools.view import conflicts_main
-from repro.verify.summary import kind_mix, summarize, summary_table
+from repro.tools.view import conflicts_main, kind_mix, summarize, summary_table
 
 
 def record(line=0x1000, cycle=5, first=0, second=1, fw=True, sw=True, via="fwd",

@@ -375,3 +375,29 @@ class TestCommandSurface:
         )
         assert " misses=0 " in warm.stderr
         assert warm.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("module, allowed", [
+        ("repro.analysis", ()),
+        ("repro.tools.analyze", ()),
+        # the model checker drives the real protocol classes
+        ("repro.modelcheck", ("repro.protocols",)),
+    ])
+    def test_analyzers_imports_no_engine(self, module, allowed):
+        """The analyzers key their conflicts with the oracle
+        (``repro.core.oracle``), which imports nothing from the engine:
+        importing them must not load the simulator, the batch engine,
+        the protocols or the harness."""
+        heavy = tuple(
+            h for h in (
+                "repro.core.batch", "repro.core.simulator",
+                "repro.protocols", "repro.harness",
+            ) if h not in allowed
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, {module}\n"
+             "print(sorted(m for m in sys.modules for h in "
+             f"{heavy!r} if m == h or m.startswith(h + '.')))"],
+            capture_output=True, text=True, env=SRC_ENV, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
