@@ -419,15 +419,30 @@ def _canonical_value(value):
     )
 
 
+#: ``repr(cfg)`` -> digest.  Keyed on the repr, not the config: an int
+#: and a float field value compare and hash equal (``64 == 64.0``) but
+#: canonicalize, and so fingerprint, differently.
+_FINGERPRINTS: dict[str, str] = {}
+_FINGERPRINT_MEMO_LIMIT = 4096
+
+
 def config_fingerprint(cfg: SystemConfig) -> str:
     """Stable hex digest of a configuration's logical content.
 
     Two configs hash equal iff every field (recursively, including the
     nested cache/AIM/NoC/DRAM configs) is equal — the property the
     on-disk result cache's keys rely on.  The digest is independent of
-    process, ``PYTHONHASHSEED`` and dataclass identity.
+    process, ``PYTHONHASHSEED`` and dataclass identity.  Each distinct
+    config is digested once per process.
     """
-    canonical = json.dumps(
-        _canonical_value(cfg), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    key = repr(cfg)
+    digest = _FINGERPRINTS.get(key)
+    if digest is None:
+        canonical = json.dumps(
+            _canonical_value(cfg), sort_keys=True, separators=(",", ":")
+        )
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        if len(_FINGERPRINTS) >= _FINGERPRINT_MEMO_LIMIT:
+            _FINGERPRINTS.clear()
+        _FINGERPRINTS[key] = digest
+    return digest

@@ -55,6 +55,8 @@ walks through the argument and the debugging workflow.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from ..common.config import resolve_engine
@@ -157,8 +159,8 @@ class LineClassification:
 def classify_program(program, line_size: int) -> LineClassification:
     """Classify every line ``program`` touches by its sharing pattern.
 
-    Walks each trace through ``ThreadTrace.iter_chunks``, keeping only
-    per-thread *unique line* sets beyond the events themselves.
+    Reads each trace's in-memory event array, keeping only per-thread
+    *unique line* sets beyond the events themselves.
     """
     return _classify_exact(program, line_size)[0]
 
@@ -213,26 +215,19 @@ def check_static_hint(
 def _classify_exact(
     program, line_size: int
 ) -> tuple[LineClassification, np.ndarray]:
-    """The streaming exact pass; also returns the ever-written line set
+    """The exact pass; also returns the ever-written line set
     (needed by :func:`check_static_hint`, which must not bless an
     RO_SHARED hint over a privately *written* line)."""
     shift = np.uint64(line_size.bit_length() - 1)
     per_thread: list[np.ndarray] = []
     written_parts: list[np.ndarray] = []
     for trace in program.traces:
-        touched = np.empty(0, dtype=np.uint64)
-        written = np.empty(0, dtype=np.uint64)
-        for events in trace.iter_chunks():
-            kinds = events["kind"]
-            access = kinds <= WRITE
-            lines = (events["addr"][access] >> shift) << shift
-            touched = np.union1d(touched, lines)
-            wlines = (events["addr"][kinds == WRITE] >> shift) << shift
-            if len(wlines):
-                written = np.union1d(written, wlines)
-        per_thread.append(touched.astype(np.uint64))
+        kinds = trace.kinds
+        addrs = trace.addrs
+        per_thread.append(np.unique((addrs[kinds <= WRITE] >> shift) << shift))
+        written = np.unique((addrs[kinds == WRITE] >> shift) << shift)
         if len(written):
-            written_parts.append(written.astype(np.uint64))
+            written_parts.append(written)
 
     all_written = (
         np.unique(np.concatenate(written_parts))
@@ -284,23 +279,27 @@ def _classify_exact(
 
 
 class _Window:
-    """One decoded chunk of a core's trace, with fast-path precomputes."""
+    """Fast-path precomputes over one core's whole trace, indexed by
+    event position."""
 
     __slots__ = (
-        "start",
-        "end",
-        "addrs",
-        "sizes",
         "iswrite",
         "lines",
         "masks",
         "codes",
-        "gapnm",
         "cum",
         "bad",
         "bad_stretch_end",
         "prev_occ",
     )
+
+
+def _int64_array(values: np.ndarray) -> array:
+    """``values`` as an ``array('q')``: plain-int indexing at 8 bytes
+    per item."""
+    out = array("q")
+    out.frombytes(values.astype(np.int64, copy=False).view(np.uint8))
+    return out
 
 
 class BatchSimulator(Simulator):
@@ -334,7 +333,6 @@ class BatchSimulator(Simulator):
         )
         n = program.num_threads
         self._windows: list[_Window | None] = [None] * n
-        self._chunk_iters: list = [None] * n
         self._scalar_until = [0] * n
         self._bad_ptr = [0] * n
         self._pops = [0] * n
@@ -349,6 +347,8 @@ class BatchSimulator(Simulator):
         self._is_arc = hasattr(protocol, "owner_table")
         self._line_shift = np.uint64(cfg.line_size.bit_length() - 1)
         self._line_mask = ~(cfg.line_size - 1)
+        # classification codes are thread ids, RO_SHARED or CONTENDED
+        self._code_dtype = np.int8 if n <= 128 else np.int64
         self._hit_cost = cfg.nonmem_cycles_per_event + cfg.l1.hit_latency
         self._sanitize_checks: list | None = None
         self.classification = (
@@ -366,48 +366,33 @@ class BatchSimulator(Simulator):
         try:
             return super().run()
         finally:
-            # The shed shim (a bound method) and the chunk streams
-            # (generators over self) make this simulator a reference
-            # cycle; drop them so a finished simulation is freed by
-            # reference counting rather than by the cyclic collector.
+            # The shed shim (a bound method) makes this simulator a
+            # reference cycle; drop it so a finished simulation is freed
+            # by reference counting rather than by the cyclic collector.
             self.__dict__.pop("_step", None)
-            self._chunk_iters = []
 
     # -- window management -------------------------------------------------
 
-    def _chunk_stream(self, core: int):
-        start = 0
-        for events in self.program.traces[core].iter_chunks():
-            yield start, events
-            start += len(events)
-
-    def _advance_window(self, core: int, idx: int) -> _Window:
-        it = self._chunk_iters[core]
-        if it is None:
-            it = self._chunk_iters[core] = self._chunk_stream(core)
-        while True:
-            start, events = next(it)
-            if idx < start + len(events):
-                break
+    def _build_window(self, core: int) -> _Window:
+        """Precompute ``core``'s fast-path columns; built on the core's
+        first fast-path attempt and kept for the rest of the run."""
+        events = self.program.traces[core].events
         win = _Window()
-        win.start = start
-        win.end = start + len(events)
         kinds = events["kind"]
         addrs = events["addr"]
         sizes = events["size"]
-        win.addrs = addrs
-        win.sizes = sizes
         win.iswrite = kinds == WRITE
         win.lines = (addrs >> self._line_shift) << self._line_shift
         offsets = addrs - win.lines
         win.masks = (
             (np.uint64(1) << sizes.astype(np.uint64)) - np.uint64(1)
         ) << offsets
-        win.codes = self.classification.codes_for(win.lines)
-        win.gapnm = events["gap"].astype(np.int64) + self.cfg.nonmem_cycles_per_event
+        win.codes = self.classification.codes_for(win.lines).astype(
+            self._code_dtype
+        )
         # prefix sum of the full fast-path cost per event: gap + non-mem
         # cycles + the L1 hit latency the access would charge
-        win.cum = np.cumsum(win.gapnm + self.cfg.l1.hit_latency)
+        win.cum = np.cumsum(events["gap"].astype(np.int64) + self._hit_cost)
         is_access = kinds <= WRITE
         core_t = np.int64(core)
         eligible = is_access & (
@@ -432,27 +417,29 @@ class BatchSimulator(Simulator):
         # bad_stretch_end[j] = first eligible position after the run of
         # consecutive ineligible positions containing bad[j]: lets _step
         # hand a whole contended/sync stretch to the scalar tier with one
-        # integer compare per event.  Kept as plain lists — _step walks
-        # them with a monotone per-core pointer, no per-pop bisect.
+        # integer compare per event.  Kept as array('q') — _step walks
+        # them with a monotone per-core pointer, no per-pop bisect, and
+        # reads plain ints at 8 bytes per item.
         if len(bad):
             ends = np.append(np.flatnonzero(np.diff(bad) != 1), len(bad) - 1)
             starts = np.append(0, ends[:-1] + 1)
-            win.bad_stretch_end = np.repeat(bad[ends] + 1, ends - starts + 1).tolist()
+            win.bad_stretch_end = _int64_array(
+                np.repeat(bad[ends] + 1, ends - starts + 1)
+            )
         else:
-            win.bad_stretch_end = []
-        win.bad = bad.tolist()
+            win.bad_stretch_end = array("q")
+        win.bad = _int64_array(bad)
         # prev_occ[p] = window position of the previous event on the same
         # line (-1 if p is the line's first appearance): one stable sort
         # here lets run validation find a run's distinct lines without
         # re-sorting the candidate on every heap pop
         order = np.argsort(win.lines, kind="stable")
         sl = win.lines[order]
-        prev = np.full(len(sl), -1, dtype=np.int64)
+        prev = np.full(len(sl), -1, dtype=np.int32)
         if len(sl) > 1:
             same = sl[1:] == sl[:-1]
             prev[order[1:][same]] = order[:-1][same]
         win.prev_occ = prev
-        self._windows[core] = win
         return win
 
     # -- the event loop ----------------------------------------------------
@@ -498,23 +485,21 @@ class BatchSimulator(Simulator):
 
     def _attempt(self, core: int, clock: int, idx: int) -> None:
         win = self._windows[core]
-        if win is None or idx >= win.end:
-            win = self._advance_window(core, idx)
-            self._bad_ptr[core] = 0
-        r = idx - win.start
+        if win is None:
+            win = self._windows[core] = self._build_window(core)
         # advance the per-core cursor into the (sorted) ineligible
-        # positions; r is monotone within a window, so this walk is
-        # amortized O(len(bad)) per window, not a bisect per pop
+        # positions; idx is monotone, so this walk is amortized
+        # O(len(bad)) per trace, not a bisect per pop
         bad = win.bad
         nbad = len(bad)
         j = self._bad_ptr[core]
-        while j < nbad and bad[j] < r:
+        while j < nbad and bad[j] < idx:
             j += 1
         self._bad_ptr[core] = j
-        if j < nbad and bad[j] == r:
-            # the event at r itself is ineligible; delegate its whole
+        if j < nbad and bad[j] == idx:
+            # the event at idx itself is ineligible; delegate its whole
             # contiguous ineligible stretch to the scalar tier
-            self._scalar_until[core] = win.start + win.bad_stretch_end[j]
+            self._scalar_until[core] = win.bad_stretch_end[j]
             Simulator._step(self, core, clock)
             return
         # cheap pre-check of the head event's line before any run setup:
@@ -524,22 +509,22 @@ class BatchSimulator(Simulator):
             self._addrs[core][idx] & self._line_mask, touch=False
         )
         if payload is None or not self._payload_ok(
-            payload, int(win.codes[r]), core
+            payload, int(win.codes[idx]), core
         ):
             Simulator._step(self, core, clock)
             return
-        stop = bad[j] if j < nbad else win.end - win.start
-        n = min(stop - r, _MAX_RUN)
+        stop = bad[j] if j < nbad else self._lengths[core]
+        n = min(stop - idx, _MAX_RUN)
         if n >= _SMALL_RUN:
-            n = self._validated_length(core, win, r, n)
+            n = self._validated_length(core, win, idx, n)
         if 0 < n < _SMALL_RUN:
-            if self._run_small(core, win, r, n, clock):
+            if self._run_small(core, win, idx, n, clock):
                 return
             n = 0
         if n <= 0:
             Simulator._step(self, core, clock)
             return
-        self._apply_run(core, win, r, n, clock)
+        self._apply_run(core, win, idx, n, clock)
 
     def _validated_length(self, core: int, win: _Window, r: int, n: int) -> int:
         """Largest eligible prefix whose lines pass the residency/state
@@ -592,7 +577,7 @@ class BatchSimulator(Simulator):
     def _run_small(self, core: int, win: _Window, r: int, n: int, clock: int) -> bool:
         """Single-pass Python path for short-to-medium runs: validation,
         mask aggregation and LRU ordering fold into one loop over the
-        engine's plain-list event columns (NumPy fixed costs dominate at
+        engine's typed event columns (NumPy fixed costs dominate at
         these lengths); lines, byte masks and the clock advance are
         computed the way the window precomputes them.
 
@@ -600,7 +585,6 @@ class BatchSimulator(Simulator):
         applies the aggregated prefix.  Returns False (nothing applied,
         caller goes scalar) when the very first event fails.
         """
-        start = win.start + r
         kinds = self._kinds[core]
         addrs = self._addrs[core]
         sizes = self._sizes[core]
@@ -617,14 +601,14 @@ class BatchSimulator(Simulator):
         consumed = 0
         gap_cycles = 0
         for i in range(n):
-            event = start + i
+            event = r + i
             addr = addrs[event]
             line = addr & line_mask
             entry = agg.get(line)
             if entry is None:
                 payload = l1_get(line, touch=False)
                 if payload is None or not payload_ok(
-                    payload, int(codes[r + i]), core
+                    payload, int(codes[event]), core
                 ):
                     break
                 entry = agg[line] = [payload, 0, 0, i]
@@ -686,7 +670,7 @@ class BatchSimulator(Simulator):
         # the window's prefix-sum cost of these events: gap + non-memory
         # cycles + the L1 hit latency each
         clock += gap_cycles + consumed * self._hit_cost
-        self.indices[core] = start + consumed
+        self.indices[core] = r + consumed
         self._resume(core, clock)
         return True
 
@@ -764,7 +748,7 @@ class BatchSimulator(Simulator):
         if self.machine.sanitize:
             self._sanitize_lines(uniq)
 
-        self.indices[core] = win.start + end
+        self.indices[core] = end
         self._resume(core, clock)
 
     def _sanitize_lines(self, lines) -> None:

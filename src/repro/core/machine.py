@@ -19,7 +19,7 @@ from ..mem.cache import SetAssocCache
 from ..mem.dram import DramModel
 from ..noc.messages import DATA
 from ..noc.network import MeshNetwork
-from ..noc.topology import MeshTopology
+from ..noc.topology import mesh_topology
 from .stats import Stats
 
 
@@ -59,7 +59,7 @@ class Machine:
             sanitize = bool(os.environ.get("REPRO_SANITIZE"))
         self.sanitize = sanitize
         self.amap = AddressMap(cfg.line_size, cfg.num_banks)
-        self.topology = MeshTopology(cfg.mesh_width, cfg.mesh_height)
+        self.topology = mesh_topology(cfg.mesh_width, cfg.mesh_height)
         self.net = MeshNetwork(self.topology, cfg.noc)
         self.dram = DramModel(cfg.dram)
         self.llc_banks = [

@@ -1,69 +1,37 @@
 """Experiment harness: registry of paper tables/figures, sweeps, rendering,
-parallel fault-tolerant execution and the on-disk result cache."""
+parallel fault-tolerant execution and the on-disk result cache.
+
+Every name loads with its module on first use, so ``repro run`` pays
+only for the modules its run needs (no fault injection, multi-seed or
+sweep machinery, and no claim catalogue without ``--report``).
+"""
 
 from ..common.lazy import lazy_exports
-from .charts import chartable, render_bars
-from .checkpoint import CHECKPOINT_NAME, Checkpoint
-from .executor import (
-    Executor,
-    Manifest,
-    SimPoint,
-    WorkloadSpec,
-    program_digest,
-    resolve_jobs,
-)
-from .experiments import (
-    REGISTRY,
-    Experiment,
-    Settings,
-    clear_comparison_cache,
-    get_executor,
-    run_experiment,
-    set_executor,
-)
-from .faultinject import FaultPlan, KillPlan, hash_draw
-from .multiseed import SeedStats, aggregate_normalized, multiseed_table
-from .result_cache import ResultCache, default_cache_dir, point_key
-from .sweep import SweepPoint, series, sweep
-from .tables import TextTable
 
-# the claim catalogue loads on first use: ``repro run`` needs it only
-# under --report
-_, __getattr__, __dir__ = lazy_exports(__name__, {
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".charts": ("chartable", "render_bars"),
+    ".checkpoint": ("CHECKPOINT_NAME", "Checkpoint"),
+    ".executor": (
+        "Executor",
+        "Manifest",
+        "SimPoint",
+        "WorkloadSpec",
+        "program_digest",
+        "resolve_jobs",
+    ),
+    ".experiments": (
+        "REGISTRY",
+        "Experiment",
+        "Settings",
+        "clear_comparison_cache",
+        "get_executor",
+        "run_experiment",
+        "set_executor",
+    ),
+    ".faultinject": ("FaultPlan", "KillPlan", "hash_draw"),
+    ".multiseed": ("SeedStats", "aggregate_normalized", "multiseed_table"),
+    ".result_cache": ("ResultCache", "default_cache_dir", "point_key"),
     ".shapes": ("ShapeCheck", "run_checks"),
+    ".sweep": ("SweepPoint", "series", "sweep"),
+    ".tables": ("TextTable",),
 })
-
-__all__ = [
-    "CHECKPOINT_NAME",
-    "Checkpoint",
-    "Executor",
-    "FaultPlan",
-    "KillPlan",
-    "hash_draw",
-    "Experiment",
-    "Manifest",
-    "ResultCache",
-    "SeedStats",
-    "ShapeCheck",
-    "SimPoint",
-    "WorkloadSpec",
-    "aggregate_normalized",
-    "chartable",
-    "clear_comparison_cache",
-    "default_cache_dir",
-    "get_executor",
-    "multiseed_table",
-    "point_key",
-    "program_digest",
-    "render_bars",
-    "resolve_jobs",
-    "run_checks",
-    "REGISTRY",
-    "Settings",
-    "set_executor",
-    "SweepPoint",
-    "TextTable",
-    "run_experiment",
-    "series",
-    "sweep",
-]

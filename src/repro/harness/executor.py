@@ -41,8 +41,6 @@ import os
 import sys
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
@@ -60,11 +58,13 @@ from ..common.errors import (
 from ..core.results import Comparison, RunResult
 from ..trace.stats import ProgramStats
 from .checkpoint import Checkpoint
-from .faultinject import FaultPlan, apply_worker_fault, hash_draw
 from .result_cache import ResultCache, point_key, stats_key
 
 if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
     from ..trace.program import Program
+    from .faultinject import FaultPlan
 
 #: results a cache-less executor keeps in memory (a ``--no-cache``
 #: ``--preset bench`` run simulates 166 distinct points)
@@ -222,6 +222,8 @@ def _point_entry(
 ) -> tuple[RunResult, float]:
     """Worker entry with fault-injection hooks applied first."""
     if plan is not None:
+        from .faultinject import apply_worker_fault
+
         apply_worker_fault(plan, key, attempt, in_pool)
     return _simulate_point(point)
 
@@ -493,7 +495,9 @@ class Executor:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            # the pool machinery loads only when a run first needs a pool
             import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
             # forked workers inherit the parent's modules: import the
             # simulation stack once here rather than once per worker
@@ -742,6 +746,8 @@ class Executor:
         desynchronize *and* identical runs sleep identically (sweep
         output stays byte-reproducible under chaos).
         """
+        from .faultinject import hash_draw
+
         cap = self.backoff * (2 ** max(attempt - 1, 0))
         return cap * hash_draw(0, "backoff", key, attempt)
 
@@ -785,6 +791,9 @@ class Executor:
         be cancelled, the whole pool is killed and respawned, and every
         other in-flight point is resubmitted without penalty.
         """
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         waiting: deque[_Slot] = deque(slots)
         delayed: list[_Slot] = []  # settled-for-retry, waiting out backoff
         active: dict[Any, _Slot] = {}

@@ -47,7 +47,6 @@ from .charts import chartable, render_bars
 from .checkpoint import CHECKPOINT_NAME, Checkpoint
 from .executor import Executor
 from .experiments import REGISTRY, Settings, run_experiment, set_executor
-from .faultinject import FaultPlan
 from .result_cache import ResultCache, default_cache_dir
 
 
@@ -153,6 +152,8 @@ def _build_executor(args: argparse.Namespace) -> Executor:
                 )
     plan = None
     if args.inject_faults:
+        from .faultinject import FaultPlan
+
         plan = FaultPlan.parse(args.inject_faults)
         print(f"[faultinject: {plan.describe()}]", file=sys.stderr)
     return Executor(

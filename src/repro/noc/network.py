@@ -18,11 +18,12 @@ counts while ARC does not.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from ..common.config import NocConfig
 from .messages import NUM_CATEGORIES
-from .topology import MeshTopology
+from .topology import MeshTopology, mesh_topology
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,6 +50,21 @@ def _count_threshold(cap: float, limit: float, strict: bool) -> int:
     while not passes(count):
         count += 1
     return count
+
+
+# typed: an int and a float latency must not share a table
+@lru_cache(maxsize=None, typed=True)
+def _path_table(
+    width: int, height: int, hop_latency: int
+) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """Per (src, dst) tile pair: (route, hops, hop latency of the route).
+
+    Shared by every network of one geometry and hop latency.
+    """
+    return tuple(
+        (route, len(route), len(route) * hop_latency)
+        for route in mesh_topology(width, height).routes
+    )
 
 
 class MeshNetwork:
@@ -94,11 +110,9 @@ class MeshNetwork:
         self._window_cycles = cfg.window_cycles
         self._window_cap = float(cfg.window_cycles)
         self._flit_bytes = cfg.flit_bytes
-        # per (src, dst) tile pair: (route, hops, hop latency of the route)
-        hop_latency = cfg.router_latency + cfg.link_latency
-        self._paths = [
-            (route, len(route), len(route) * hop_latency) for route in topology.routes
-        ]
+        self._paths = _path_table(
+            topology.width, topology.height, cfg.router_latency + cfg.link_latency
+        )
         self._num_tiles = topology.num_tiles
         self._num_links = topology.num_links
         # a link is past saturation_fraction above _sat_count flits and

@@ -3,10 +3,13 @@
 Tiles are numbered row-major; tile *i* hosts core *i*, LLC bank *i*, and
 (for CE+) AIM slice *i*.  Links are directed; routes between every tile
 pair are precomputed at construction (at most 64x64 pairs), so the
-network's send path is a tuple lookup.
+network's send path is a tuple lookup.  A topology is immutable, so
+every machine of one geometry shares one (:func:`mesh_topology`).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from ..common.errors import ConfigError
 
@@ -35,10 +38,11 @@ class MeshTopology:
 
         # Precompute XY routes as tuples of link indices, indexed by
         # ``src * num_tiles + dst``.
-        self.routes: list[tuple[int, ...]] = []
-        for src in range(self.num_tiles):
-            for dst in range(self.num_tiles):
-                self.routes.append(self._compute_route(src, dst))
+        self.routes: tuple[tuple[int, ...], ...] = tuple(
+            self._compute_route(src, dst)
+            for src in range(self.num_tiles)
+            for dst in range(self.num_tiles)
+        )
 
     @property
     def num_links(self) -> int:
@@ -72,3 +76,9 @@ class MeshTopology:
     def hops(self, src: int, dst: int) -> int:
         """Manhattan hop count between tiles."""
         return len(self.routes[src * self.num_tiles + dst])
+
+
+@lru_cache(maxsize=None)
+def mesh_topology(width: int, height: int) -> MeshTopology:
+    """The one shared :class:`MeshTopology` of a ``width x height`` mesh."""
+    return MeshTopology(width, height)

@@ -162,8 +162,8 @@ def test_forced_lines_marked_ineligible():
     cfg = SystemConfig(num_cores=2)
     all_lines = [int(a) for a in classify_program(prog, LINE).lines]
     sim = BatchSimulator(cfg, prog, force_residue_lines=all_lines)
-    win = sim._advance_window(0, 0)
-    assert win.bad == list(range(win.end - win.start))
+    win = sim._build_window(0)
+    assert list(win.bad) == list(range(len(prog.traces[0])))
 
 
 def test_empty_program_classification():

@@ -1,17 +1,21 @@
 """The packages' public names survive lazy resolution.
 
-``repro``, ``repro.trace`` and ``repro.synth`` resolve their re-exports
-on first access (``repro.common.lazy``); ``repro.harness`` imports all
-but the claim catalogue eagerly.  Either way a public name must be the very object its defining
-module holds, and cache entries written before ``ProgramStats`` moved
-to ``repro.trace.stats`` must still load.
+``repro``, ``repro.trace``, ``repro.synth`` and ``repro.harness``
+resolve their re-exports on first access (``repro.common.lazy``).  A
+public name must be the very object its defining module holds, and
+cache entries written before ``ProgramStats`` moved to
+``repro.trace.stats`` must still load.
 """
 
 from __future__ import annotations
 
 import importlib
+import os
 import pickle
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +59,20 @@ def test_public_names_are_their_defining_modules_objects(package):
         home = importlib.import_module(_home(name, value))
         assert getattr(home, name) is value, f"{package}.{name}"
         assert name in dir(pkg)
+
+
+def test_export_named_like_its_module_survives_a_submodule_import():
+    """``repro.harness.sweep`` stays the function, as the eager package
+    left it, even when the ``repro.harness.sweep`` module is imported
+    first in a fresh interpreter."""
+    code = (
+        "import repro.harness.sweep\n"
+        "from repro.harness import sweep\n"
+        "from repro.harness.sweep import sweep as defined\n"
+        "assert sweep is defined, sweep\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_unknown_name_raises_attribute_error():

@@ -78,6 +78,23 @@ class TestTopology:
         with pytest.raises(ConfigError):
             MeshTopology(0, 4)
 
+    def test_machines_of_one_geometry_share_the_route_table(self):
+        from repro.common.config import SystemConfig
+        from repro.core.machine import Machine
+
+        a = Machine(SystemConfig(num_cores=16))
+        b = Machine(SystemConfig(num_cores=16))
+        assert a.topology is b.topology
+        assert isinstance(a.topology.routes, tuple)
+        assert a.net._paths is b.net._paths
+        # the networks' per-run state stays private
+        assert a.net is not b.net
+        assert a.net._window_links is not b.net._window_links
+        # another geometry gets its own table
+        small = Machine(SystemConfig(num_cores=4))
+        assert small.topology is not a.topology
+        assert small.net._paths is not a.net._paths
+
 
 class TestNetwork:
     def make(self, **kw):

@@ -109,6 +109,29 @@ class TestKeying:
         assert config_fingerprint(cfg()) == base
         assert config_fingerprint(cfg(use_owned_state=True)) != base
 
+    @pytest.mark.parametrize("float_first", [False, True])
+    def test_config_fingerprint_memo_keeps_int_and_float_apart(
+        self, monkeypatch, float_first
+    ):
+        """``64`` and ``64.0`` compare and hash equal but canonicalize to
+        different JSON: the per-process fingerprint memo must hand each
+        variant its own digest, whichever is computed first."""
+        from repro.common import config as config_mod
+
+        monkeypatch.setattr(config_mod, "_FINGERPRINTS", {})
+        base = SystemConfig(num_cores=16)
+        variant = replace(base, noc=replace(base.noc, max_queue_penalty=64.0))
+        assert variant == base and hash(variant) == hash(base)
+        expected = {
+            repr(base): "8ce34746c565071faf36fc374ddbf9d1"
+            "3dd9700e98a04e67fab58586d22cdd7a",
+            repr(variant): "bc03a7c1100a855e9291d462d9403e61"
+            "b659064542448a23c38d4e730b4700d2",
+        }
+        order = [variant, base] if float_first else [base, variant]
+        for config in order + order:
+            assert config_fingerprint(config) == expected[repr(config)]
+
     def test_program_and_spec_key_spaces_disjoint(self):
         """A prebuilt program never aliases a spec-built point's key."""
         built = spec().build()

@@ -343,14 +343,18 @@ class TestCommandSurface:
 
     def test_experiment_runner_imports_no_tool_layer(self, tmp_path):
         """``repro run`` start-up must not pay for the dispatcher, the
-        analyzers, the verifiers, the service or the capture runtime,
-        and a run whose points all hit the cache must not load NumPy or
-        the simulation stack either."""
+        analyzers, the verifiers, the service, the capture runtime, the
+        process pool, fault injection or the multi-seed and sweep
+        helpers, and a run whose points all hit the cache must not load
+        NumPy or the simulation stack either."""
         heavy = (
             "repro.cli", "repro.tools", "repro.statics",
             "repro.modelcheck", "repro.service", "repro.capture", "numpy",
             "repro.core.batch", "repro.core.simulator", "repro.protocols",
             "repro.trace.builder", "repro.synth.patterns",
+            "concurrent.futures", "multiprocessing",
+            "repro.harness.faultinject", "repro.harness.multiseed",
+            "repro.harness.sweep",
         )
         report = (
             "import sys\n"
